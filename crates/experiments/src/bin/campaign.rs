@@ -39,7 +39,7 @@
 //! 3 campaign incomplete (some cells still pending).
 
 use experiments::campaign::{self, CampaignSpec, MergeOutcome};
-use experiments::{harness, json, resilience};
+use experiments::{faults, harness, json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
@@ -65,7 +65,8 @@ fn parse_num<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let spec_name = flag_value(&args, "--spec").unwrap_or_else(|| "fast".to_string());
-    let base_seed = parse_num::<u64>(&args, "--base-seed").unwrap_or_else(resilience::base_seed);
+    let base_seed = parse_num::<u64>(&args, "--base-seed")
+        .unwrap_or_else(|| faults::base_seed().unwrap_or_else(|e| usage(&e)));
     let Some(spec) = CampaignSpec::preset(&spec_name, base_seed) else {
         usage(&format!("unknown spec {spec_name:?} (expected tiny, fast or full)"));
     };

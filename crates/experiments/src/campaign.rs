@@ -31,13 +31,13 @@
 //!
 //! Everything layers on the existing [`Harness`] memoization: a cell's
 //! baseline and clean reference runs ride [`Harness::measure`] (shared
-//! across cells of one process), and faulted cells reuse the resilience
-//! episode executor rather than forking it.
+//! across cells of one process), and faulted cells run through the fault
+//! suites' episode executor (`faults::power_loss_episode`).
 
 use crate::harness::Harness;
 use crate::json::{self, Json};
 use crate::report::Table;
-use crate::resilience;
+use crate::faults::{self, recovery_name, FaultRow};
 use mibench::builder::{MemoryProfile, System};
 use mibench::Benchmark;
 use msp430_sim::freq::Frequency;
@@ -149,7 +149,7 @@ impl Cell {
             self.freq.mhz,
             policy_name(self.policy),
             if self.guards { "on" } else { "off" },
-            resilience::recovery_name(self.recovery),
+            recovery_name(self.recovery),
             self.isr.name(),
         )
     }
@@ -431,13 +431,10 @@ pub fn run_cell(h: &Harness, cell: &Cell) -> Json {
                 }
             };
             let cfg = cell.config();
-            let row = resilience::episode(
+            let row = faults::power_loss_episode(
                 built,
                 &cfg,
-                cell.bench,
-                cell.recovery,
-                seed,
-                clean_cycles,
+                FaultRow::new(cell.bench, seed, clean_cycles),
                 cell.freq,
             );
             let ok = row.survived && row.correct;
@@ -454,8 +451,8 @@ pub fn run_cell(h: &Harness, cell: &Cell) -> Json {
             fields.push(("misses", opt_u64(swap.map(|s| s.misses))));
             fields.push(("evictions", opt_u64(swap.map(|s| s.evictions))));
             fields.push(("bytes_copied", opt_u64(swap.map(|s| s.bytes_copied))));
-            fields.push(("degraded", Json::U64(row.degraded)));
-            fields.push(("recovered_functions", Json::U64(row.recovered_functions)));
+            fields.push(("degraded", Json::U64(row.swap.degraded)));
+            fields.push(("recovered_functions", Json::U64(row.swap.recovered_functions)));
             if let Some(e) = &row.error {
                 fields.push(("error", Json::str(e.clone())));
             }
@@ -475,7 +472,7 @@ fn identity_fields(cell: &Cell) -> Vec<(&'static str, Json)> {
         ("freq_mhz", Json::U64(u64::from(cell.freq.mhz))),
         ("policy", Json::str(policy_name(cell.policy))),
         ("guards", Json::Bool(cell.guards)),
-        ("recovery", Json::str(resilience::recovery_name(cell.recovery))),
+        ("recovery", Json::str(recovery_name(cell.recovery))),
         ("isr", Json::str(cell.isr.name())),
         (
             "fault_seed",
@@ -810,7 +807,7 @@ fn spec_json(spec: &CampaignSpec, total: usize) -> Json {
         (
             "recoveries",
             Json::Arr(
-                spec.recoveries.iter().map(|&r| Json::str(resilience::recovery_name(r))).collect(),
+                spec.recoveries.iter().map(|&r| Json::str(recovery_name(r))).collect(),
             ),
         ),
         (

@@ -23,27 +23,21 @@
 //! | [`fig9`]  | Figure 9 — speed/energy at 24 MHz (and 8 MHz)      |
 //! | [`fig10`] | Figure 10 — split-SRAM execution                   |
 //! | [`ablation`]| cache-size sweep, policies, hardware cache       |
-//! | [`resilience`]| power-loss fault injection + crash recovery    |
-//! | [`corruption`]| seeded bit-flip injection vs. the defense stack |
-//! | [`concurrency`]| timer interrupts + preemptive tasks vs. reentrancy |
-//! | [`intermittent`]| harvested-energy traces vs. forward progress      |
+//! | [`faults`]| power loss, bit flips, interrupts, harvested energy |
 //! | [`campaign`]| fleet-scale config sweep (multi-process work stealing) |
 
 pub mod ablation;
 pub mod campaign;
-pub mod concurrency;
-pub mod corruption;
+pub mod faults;
 pub mod fig1;
 pub mod fig10;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod harness;
-pub mod intermittent;
 pub mod json;
 pub mod measure;
 pub mod report;
-pub mod resilience;
 pub mod simperf;
 pub mod table1;
 pub mod table2;
@@ -52,14 +46,18 @@ pub use harness::Harness;
 
 use msp430_sim::freq::Frequency;
 
-/// Runs every experiment through `h` and renders the full report.
-pub fn run_all(h: &Harness) -> String {
-    run_report(h, false)
+/// The rendered evaluation plus every fault-suite contract violation.
+pub struct Report {
+    /// Every table, in paper order.
+    pub text: String,
+    /// Fault-suite contract violations; empty when every contract holds.
+    pub violations: Vec<String>,
 }
 
-/// Like [`run_all`], but `fast` skips the ablation studies and the 8 MHz
-/// Figure-9 variant (the CI configuration).
-pub fn run_report(h: &Harness, fast: bool) -> String {
+/// Runs every experiment through `h`. `fast` skips the ablation studies
+/// and the 8 MHz Figure-9 variant and runs the fault suites at their CI
+/// sizes; `fault_seed` is the fault suites' base seed.
+pub fn run_report(h: &Harness, fast: bool, fault_seed: u64) -> Report {
     let mut out = String::new();
     out.push_str(&fig1::render(&fig1::run(h)));
     out.push('\n');
@@ -79,20 +77,8 @@ pub fn run_report(h: &Harness, fast: bool) -> String {
     }
     out.push_str(&fig10::render(&fig10::run(h, Frequency::MHZ_24)));
     out.push('\n');
-    let schedules =
-        if fast { resilience::FAST_SCHEDULES } else { resilience::DEFAULT_SCHEDULES };
-    out.push_str(&resilience::render(&resilience::run(h, schedules, resilience::base_seed())));
-    out.push('\n');
-    let flips = if fast { corruption::FAST_FLIPS } else { corruption::DEFAULT_FLIPS };
-    out.push_str(&corruption::render(&corruption::run(h, flips, resilience::base_seed())));
-    out.push('\n');
-    let irq_schedules =
-        if fast { concurrency::FAST_SCHEDULES } else { concurrency::DEFAULT_SCHEDULES };
-    out.push_str(&concurrency::render(&concurrency::run(h, irq_schedules, resilience::base_seed())));
-    out.push('\n');
-    let tiers: &[intermittent::Tier] =
-        if fast { &intermittent::Tier::FAST } else { &intermittent::Tier::ALL };
-    out.push_str(&intermittent::render(&intermittent::run(h, tiers, resilience::base_seed())));
+    let (faults, violations) = faults::run_suites(h, fast, fault_seed);
+    out.push_str(&faults);
     out.push('\n');
     if !fast {
         out.push_str(&ablation::render_sweep(&ablation::cache_size_sweep(h)));
@@ -105,5 +91,5 @@ pub fn run_report(h: &Harness, fast: bool) -> String {
         out.push('\n');
         out.push_str(&ablation::render_hw_cache(&ablation::hw_cache_ablation(h)));
     }
-    out
+    Report { text: out, violations }
 }

@@ -153,7 +153,7 @@ impl Cpu {
     /// all fetch accounting, instruction attribution and cycle charging —
     /// this is the execution core shared by the interpreter
     /// ([`Cpu::step`]) and the pre-decoded engine
-    /// ([`crate::blockcache::BlockEngine`]).
+    /// ([`crate::blocks::BlockEngine`]).
     pub(crate) fn exec_decoded(&mut self, bus: &mut Bus, instr: &Instr) -> SimResult<()> {
         match *instr {
             Instr::FormatI { op, size, src, dst } => self.exec_format_i(bus, op, size, src, dst),

@@ -15,7 +15,7 @@
 //!   accounting can be batched without changing any observable statistic.
 //!
 //! The dispatch engine that caches and invalidates these blocks lives in
-//! [`crate::blockcache`].
+//! [`crate::blocks`].
 
 use crate::cpu::{ext_count_raw, instr_cycles};
 use crate::isa::{Instr, Opcode, Operand, Reg, Size};
@@ -171,7 +171,7 @@ pub struct Block {
 /// sanitizer replay. Everything the run charges to the statistics except
 /// the hardware cache's hit/miss split is a pure function of the
 /// instruction bytes, so it is summed here once at decode time; see
-/// [`crate::blockcache::BlockEngine::step_batched`] for how the cache
+/// [`crate::blocks::BlockEngine::step_batched`] for how the cache
 /// split itself collapses to one probe per distinct line.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPlan {

@@ -81,6 +81,15 @@ impl IrqSchedule {
         IrqSchedule::at(events)
     }
 
+    /// This schedule plus one more one-shot fire at `cycle` (a duplicate
+    /// of an existing event is dropped).
+    pub fn with_event(mut self, cycle: u64) -> IrqSchedule {
+        if let Err(at) = self.events.binary_search(&cycle) {
+            self.events.insert(at, cycle);
+        }
+        self
+    }
+
     /// Number of one-shot events not yet reached.
     pub fn remaining(&self) -> usize {
         self.events.len() - self.next
@@ -209,6 +218,16 @@ mod tests {
         assert_ne!(a, c);
         assert!(a.events.iter().all(|&e| (100..1000).contains(&e)));
         assert!(a.events.windows(2).all(|w| w[0] < w[1]), "sorted unique");
+    }
+
+    #[test]
+    fn with_event_keeps_events_sorted_and_unique() {
+        let s = IrqSchedule::at(vec![10, 30]).with_event(20).with_event(30);
+        assert_eq!(s, IrqSchedule::at(vec![10, 20, 30]));
+        let mut p = IrqSchedule::periodic(100, 50).with_event(7);
+        assert!(p.is_periodic());
+        assert_eq!(p.take_due(7), 1);
+        assert_eq!(p.take_due(50), 1);
     }
 
     #[test]

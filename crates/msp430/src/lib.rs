@@ -25,7 +25,7 @@
 //! assert_eq!(machine.bus().map().fram.len(), 32 * 1024);
 //! ```
 
-pub mod blockcache;
+pub mod blocks;
 pub mod cpu;
 pub mod decode;
 pub mod energy;

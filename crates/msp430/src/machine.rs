@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use crate::blockcache::BlockEngine;
+use crate::blocks::BlockEngine;
 use crate::cpu::{Cpu, FLAG_GIE};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultKind, FaultPlan};
@@ -39,7 +39,7 @@ pub const ENGINE_ENV: &str = "SWAPRAM_ENGINE";
 pub enum Engine {
     /// Fetch/decode/execute every instruction from memory.
     Interp,
-    /// Pre-decoded basic-block dispatch (see [`crate::blockcache`]).
+    /// Pre-decoded basic-block dispatch (see [`crate::blocks`]).
     Predecoded,
 }
 

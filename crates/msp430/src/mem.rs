@@ -182,7 +182,7 @@ const WATCH_SHIFT: u32 = 6;
 const WATCH_GRANULES: usize = 0x1_0000 >> WATCH_SHIFT;
 
 /// Write barrier backing the pre-decoded engine's invalidation contract
-/// (see [`crate::blockcache`]): granules covered by at least one cached
+/// (see [`crate::blocks`]): granules covered by at least one cached
 /// block have a nonzero count, and every store landing in a covered granule
 /// is recorded so the engine can invalidate exactly the blocks whose bytes
 /// changed — whether the store came from executing code (SwapRAM rewriting

@@ -1,6 +1,6 @@
 //! Differential gate for the pre-decoded execution engine.
 //!
-//! The pre-decoded engine ([`msp430_sim::blockcache`]) must be
+//! The pre-decoded engine ([`msp430_sim::blocks`]) must be
 //! observationally indistinguishable from the reference interpreter: same
 //! [`Stats`](msp430_sim::Stats) to the cycle, same checksums, same
 //! [`ExitReason`](msp430_sim::ExitReason), same runtime counters — across
@@ -149,7 +149,7 @@ fn lockstep(bench: Benchmark, system: &System, freq: Frequency) {
         assert_eq!(va, vb, "{}: violation diverged at step {steps}", bench.name());
         steps += 1;
         compare_regs(&a, &b, bench, steps);
-        if steps % STATS_EVERY == 0 {
+        if steps.is_multiple_of(STATS_EVERY) {
             assert_eq!(
                 a.bus().stats(),
                 b.bus().stats(),

@@ -91,6 +91,52 @@ impl SwapStats {
     }
 }
 
+/// Sums every counter, e.g. over the per-boot runtimes of one
+/// power-loss episode.
+impl std::ops::AddAssign<&SwapStats> for SwapStats {
+    fn add_assign(&mut self, o: &SwapStats) {
+        // Exhaustive destructuring: a new counter fails to compile here
+        // until it is summed too.
+        let SwapStats {
+            misses, fills, evictions, active_fallbacks, frozen_fallbacks, too_large, freezes,
+            bytes_copied, rechains, degraded, recoveries, recovered_functions, journal_appends,
+            journal_fallbacks, guard_checks, guard_repairs, guard_degraded, isr_yields,
+            boundary_checks, fid_repairs, checkpoint_commits, checkpoint_skips, resumes,
+            torn_checkpoints, watchdog_degradations, watchdog_fallbacks,
+        } = o;
+        for (sum, v) in [
+            (&mut self.misses, misses),
+            (&mut self.fills, fills),
+            (&mut self.evictions, evictions),
+            (&mut self.active_fallbacks, active_fallbacks),
+            (&mut self.frozen_fallbacks, frozen_fallbacks),
+            (&mut self.too_large, too_large),
+            (&mut self.freezes, freezes),
+            (&mut self.bytes_copied, bytes_copied),
+            (&mut self.rechains, rechains),
+            (&mut self.degraded, degraded),
+            (&mut self.recoveries, recoveries),
+            (&mut self.recovered_functions, recovered_functions),
+            (&mut self.journal_appends, journal_appends),
+            (&mut self.journal_fallbacks, journal_fallbacks),
+            (&mut self.guard_checks, guard_checks),
+            (&mut self.guard_repairs, guard_repairs),
+            (&mut self.guard_degraded, guard_degraded),
+            (&mut self.isr_yields, isr_yields),
+            (&mut self.boundary_checks, boundary_checks),
+            (&mut self.fid_repairs, fid_repairs),
+            (&mut self.checkpoint_commits, checkpoint_commits),
+            (&mut self.checkpoint_skips, checkpoint_skips),
+            (&mut self.resumes, resumes),
+            (&mut self.torn_checkpoints, torn_checkpoints),
+            (&mut self.watchdog_degradations, watchdog_degradations),
+            (&mut self.watchdog_fallbacks, watchdog_fallbacks),
+        ] {
+            *sum += v;
+        }
+    }
+}
+
 impl fmt::Display for SwapStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
