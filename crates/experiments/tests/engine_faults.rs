@@ -8,6 +8,11 @@
 //! * Corruption: flips land in metadata, cached code and app data; the
 //!   cached-code flips hit decoded blocks directly, so a stale block that
 //!   survives `flip_bit` shows up as a changed outcome row.
+//! * Concurrency: seeded timer schedules (plus a fire inside a funcId
+//!   publish window) on every interrupt-driven benchmark under both ISR
+//!   protocols, so interrupt latching, masked delivery and `reti`
+//!   boundaries land on the same instruction while the pre-decoded
+//!   engine batches up to each timer fire.
 //! * Intermittent: the dense tier exercises dying-gasp checkpoints,
 //!   mid-computation resume and watchdog accounting on every benchmark.
 //!
@@ -74,6 +79,19 @@ fn fault_rows_identical_across_engines() {
     both_engines("corruption", faults::CORRUPTION_COLUMNS, |h| {
         faults::corruption(h, faults::CORRUPTION_FAST_FLIPS, seed)
     });
+
+    let rows = both_engines("concurrency", faults::CONCURRENCY_COLUMNS, |h| {
+        faults::concurrency(h, faults::CONCURRENCY_FAST_SCHEDULES, seed)
+    });
+    assert_eq!(
+        rows.len(),
+        faults::irq_benchmarks().len() * 2 * 2 * faults::CONCURRENCY_FAST_SCHEDULES,
+        "concurrency did not cover the fast matrix"
+    );
+    assert!(
+        rows.iter().all(|r| r.irq_delivered > 0),
+        "every concurrency episode must deliver timer interrupts"
+    );
 
     let rows = both_engines("intermittent", faults::INTERMITTENT_COLUMNS, |h| {
         faults::intermittent(h, &[Tier::Dense], seed)

@@ -5,11 +5,12 @@
 //! the same granularity as the interpreter, so [`crate::machine::Machine`]
 //! keeps polling faults, sanitizer violations and the cycle budget at
 //! identical points — while eliminating the per-step fetch/decode work and
-//! dispatching precomputed cycle/category/accounting plans instead. When
-//! the machine proves nothing can observe instruction boundaries (no fault
-//! plan, no profiler), [`BlockEngine::step_batched`] executes whole
-//! straight-line runs per call with the run loop's checks replicated
-//! inline, eliminating the per-instruction dispatch overhead too.
+//! dispatching precomputed cycle/category/accounting plans instead.
+//! [`BlockEngine::step_batched`] executes whole straight-line runs per
+//! call with the run loop's checks replicated inline, eliminating the
+//! per-instruction dispatch overhead too: batches are bounded by the
+//! budget, the next fault event and the next timer fire, and the machine
+//! single-steps only with a profiler or a latched interrupt.
 //!
 //! # Invalidation contract
 //!
@@ -192,23 +193,26 @@ impl BlockEngine {
     /// Executes as many consecutive instructions of the current block as
     /// [`crate::machine::Machine::run`]'s polling permits, then returns.
     ///
-    /// Only called when no fault plan or profiler is attached, so nothing
-    /// outside the loop's own checks can observe instruction boundaries.
-    /// Those checks are replicated inline after every instruction — stack
-    /// floor, latched violation, halt port, code-write barrier, cycle
-    /// budget — and the batch stops at the first instruction after which
-    /// any of them would make the run loop act, leaving the machine in
-    /// exactly the state per-instruction stepping would have. The barrier
-    /// check additionally stops the batch when an instruction stores into
-    /// watched code, so a self-modified block never executes stale
-    /// successors (the next call drains it, same as [`BlockEngine::step`]).
+    /// `limit` is the smallest of the cycle budget, the next fault event
+    /// and the next timer fire, so no scheduled event can become due
+    /// before the batch reaches it; with no profiler attached and no
+    /// interrupt latched, nothing else outside the loop's own checks can
+    /// observe instruction boundaries. Those checks are replicated inline
+    /// after every instruction — stack floor, latched violation, halt
+    /// port, code-write barrier, `limit` — and the batch stops at the
+    /// first instruction after which any of them would make the run loop
+    /// act, leaving the machine in exactly the state per-instruction
+    /// stepping would have. The barrier check additionally stops the batch
+    /// when an instruction stores into watched code, so a self-modified
+    /// block never executes stale successors (the next call drains it,
+    /// same as [`BlockEngine::step`]).
     ///
     /// # Errors
     ///
     /// As [`BlockEngine::step`]: identical conditions and partial state to
     /// the interpreter, with every fully-executed prior instruction's
     /// effects committed.
-    pub fn step_batched(&mut self, cpu: &mut Cpu, bus: &mut Bus, max_cycles: u64) -> SimResult<()> {
+    pub fn step_batched(&mut self, cpu: &mut Cpu, bus: &mut Bus, limit: u64) -> SimResult<()> {
         if bus.sanitizer_epoch() != self.seen_epoch {
             self.reset(bus);
         }
@@ -240,7 +244,7 @@ impl BlockEngine {
         };
         let block = self.arena[slot as usize].as_ref().expect("validated slot");
         let len = block.instrs.len();
-        // When the remaining cycle budget exceeds the block suffix's
+        // When the cycles left before `limit` exceed the block suffix's
         // worst-case cost, no per-instruction cycle check can fire before
         // the block ends, and — since every non-terminator instruction in
         // a block provably falls through (only terminators can write the
@@ -250,7 +254,7 @@ impl BlockEngine {
         // (loads and pure ALU ops — see `DecodedInstr::poll`), the
         // stack/violation/halt/barrier set for the rest. The suffix bound
         // is monotonically decreasing, so once covered, always covered.
-        if bus.stats().total_cycles() + u64::from(block.instrs[idx].worst_suffix) < max_cycles {
+        if bus.stats().total_cycles() + u64::from(block.instrs[idx].worst_suffix) < limit {
             while idx < len {
                 let first = &block.instrs[idx];
                 // A precomputed run of pure instructions: accounting is
@@ -305,7 +309,7 @@ impl BlockEngine {
             self.cursor = None;
             return Ok(());
         }
-        // Near the cycle limit: exact per-instruction stepping with the
+        // Near `limit`: exact per-instruction stepping with the
         // full poll set, so the batch stops on precisely the same
         // instruction boundary as the interpreter's run loop.
         loop {
@@ -320,7 +324,7 @@ impl BlockEngine {
                 || bus.violation_pending()
                 || bus.ports().halt_code().is_some()
                 || bus.code_watch_gen() != self.seen_gen
-                || bus.stats().total_cycles() >= max_cycles
+                || bus.stats().total_cycles() >= limit
             {
                 self.cursor = if fell_through && bus.code_watch_gen() == self.seen_gen {
                     Some((slot, idx + 1))

@@ -142,8 +142,9 @@ pub struct DecodedInstr {
     pub run: RunPlan,
     /// Safe upper bound on the cycles executing this instruction and the
     /// rest of its block can add to the statistics (see [`worst_cycles`]);
-    /// filled by [`build_block`]. When the remaining cycle budget exceeds
-    /// this bound, the batched engine can execute to the end of the block
+    /// filled by [`build_block`]. When the cycles left before the batch's
+    /// limit (budget, next fault event, next timer fire) exceed this
+    /// bound, the batched engine can execute to the end of the block
     /// without any per-instruction cycle check.
     pub worst_suffix: u32,
     /// The decoded instruction.

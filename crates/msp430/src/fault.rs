@@ -122,6 +122,13 @@ impl FaultPlan {
         self.next
     }
 
+    /// Cycle of the next event still to fire, `None` once the plan is
+    /// exhausted. Nothing fires before it, so it bounds a batch of
+    /// straight-line execution (see [`crate::machine::Machine::run`]).
+    pub fn next_cycle(&self) -> Option<u64> {
+        self.events.get(self.next).map(|e| e.cycle)
+    }
+
     /// Takes the next event due at or before `cycle`, advancing the
     /// cursor. Returns `None` when nothing is due.
     pub fn take_due(&mut self, cycle: u64) -> Option<FaultEvent> {
@@ -285,6 +292,22 @@ mod tests {
         assert_eq!(p.take_due(20), None, "second event not due yet");
         assert_eq!(p.take_due(50).unwrap().kind, FaultKind::PowerLoss);
         assert_eq!(p.remaining(), 0);
+    }
+
+    #[test]
+    fn next_cycle_tracks_the_firing_cursor() {
+        assert_eq!(FaultPlan::default().next_cycle(), None, "empty plan");
+        let mut p = FaultPlan::new(vec![
+            FaultEvent { cycle: 50, kind: FaultKind::PowerLoss },
+            FaultEvent { cycle: 10, kind: FaultKind::BitFlip { addr: 0x2000, bit: 3 } },
+        ]);
+        assert_eq!(p.next_cycle(), Some(10));
+        assert_eq!(p.take_due(9), None);
+        assert_eq!(p.next_cycle(), Some(10), "a miss does not advance");
+        p.take_due(10).unwrap();
+        assert_eq!(p.next_cycle(), Some(50));
+        p.take_due(50).unwrap();
+        assert_eq!(p.next_cycle(), None, "fully fired plan");
     }
 
     #[test]

@@ -101,6 +101,19 @@ impl IrqSchedule {
         self.period != 0
     }
 
+    /// Cycle of the next fire: the earlier of the next one-shot event and
+    /// the next periodic fire, `None` once a one-shot-only schedule has
+    /// run dry. Nothing latches before it, so it bounds a batch of
+    /// straight-line execution (see [`crate::machine::Machine::run`]).
+    pub fn next_fire(&self) -> Option<u64> {
+        let one_shot = self.events.get(self.next).copied();
+        let periodic = (self.period != 0).then_some(self.next_periodic);
+        match (one_shot, periodic) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// Advances past every fire at or before `cycle`, returning how many
     /// fires were reached. The caller (the bus pending latch) coalesces
     /// multiple fires into one pending interrupt.
@@ -207,6 +220,32 @@ mod tests {
         assert_eq!(s.take_due(199), 0);
         assert_eq!(s.take_due(200), 1);
         assert_eq!(s.take_due(10_000), 98);
+    }
+
+    #[test]
+    fn next_fire_is_the_earliest_pending_fire() {
+        let mut once = IrqSchedule::at(vec![30, 10]);
+        assert_eq!(once.next_fire(), Some(10));
+        once.take_due(10);
+        assert_eq!(once.next_fire(), Some(30));
+        once.take_due(30);
+        assert_eq!(once.next_fire(), None, "a dry one-shot schedule");
+        assert_eq!(IrqSchedule::at(Vec::new()).next_fire(), None);
+
+        let mut tick = IrqSchedule::periodic(100, 50);
+        assert_eq!(tick.next_fire(), Some(50));
+        tick.take_due(180);
+        assert_eq!(tick.next_fire(), Some(250));
+
+        // Burst and periodic components: the min of both, either way round.
+        let mut both = IrqSchedule::burst_then_periodic(vec![5, 300], 100, 200);
+        assert_eq!(both.next_fire(), Some(5));
+        both.take_due(5);
+        assert_eq!(both.next_fire(), Some(200), "periodic fire before the burst's next");
+        both.take_due(200);
+        assert_eq!(both.next_fire(), Some(300));
+        both.take_due(300);
+        assert_eq!(both.next_fire(), Some(400), "burst spent, the tail never runs dry");
     }
 
     #[test]

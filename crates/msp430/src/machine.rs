@@ -397,16 +397,23 @@ impl Machine {
     ///
     /// Propagates simulation errors from [`Machine::step`].
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunOutcome> {
-        // Fault plans fire at exact instruction boundaries, profilers
-        // record every PC, and timer interrupts are accepted between
-        // instructions — so the pre-decoded engine may only batch
-        // straight-line runs when none is attached; the engine then
-        // replicates this loop's per-instruction checks inline (see
-        // [`BlockEngine::step_batched`]).
+        // Batches are bounded by the budget, the next fault event and the
+        // next timer fire, and single-step only with a profiler or a
+        // latched interrupt. The pre-decoded engine stops a batch on the
+        // exact boundary where the bound is reached and replicates this
+        // loop's other checks inline (see [`BlockEngine::step_batched`]),
+        // so faults fire and fires latch where per-instruction stepping
+        // would put them. A profiler records every PC, and a latched
+        // interrupt's delivery depends on `GIE` and the trap window at
+        // every boundary.
         let irq = self.bus.timer().is_some();
-        let batch = self.faults.is_none() && self.profiler.is_none() && !irq;
+        let mut limit = self.batch_limit(max_cycles);
         let exit = loop {
-            let stepped = if batch { self.step_batch(max_cycles) } else { self.step() };
+            let stepped = if self.profiler.is_none() && !self.bus.irq_pending() {
+                self.step_batch(limit)
+            } else {
+                self.step()
+            };
             // A latched sanitizer violation wins over whatever the wild
             // instruction did — including the bus fault it may have died
             // on — so misexecution surfaces as one typed exit.
@@ -428,8 +435,14 @@ impl Machine {
             if irq {
                 self.service_interrupt()?;
             }
-            if self.bus.stats().total_cycles() >= max_cycles {
-                break ExitReason::CycleLimit;
+            // Schedules only advance once the clock reaches `limit`, so
+            // the bound needs recomputing only then.
+            let now = self.bus.stats().total_cycles();
+            if now >= limit {
+                if now >= max_cycles {
+                    break ExitReason::CycleLimit;
+                }
+                limit = self.batch_limit(max_cycles);
             }
         };
         Ok(self.outcome(exit))
@@ -492,16 +505,27 @@ impl Machine {
         Ok(())
     }
 
+    /// The cycle a batch must not run past: `max_cycles`, or the next
+    /// fault event or timer fire if one comes sooner.
+    fn batch_limit(&self, max_cycles: u64) -> u64 {
+        let fault = self.faults.as_ref().and_then(FaultPlan::next_cycle);
+        let fire = self.bus.timer().and_then(|t| t.schedule().next_fire());
+        max_cycles.min(fault.unwrap_or(u64::MAX)).min(fire.unwrap_or(u64::MAX))
+    }
+
     /// Like [`Machine::step`], but lets the pre-decoded engine execute a
-    /// whole straight-line run before returning to the polling loop.
-    /// Only called from [`Machine::run`] when no fault plan or profiler
-    /// is attached (so per-instruction polling is unobservable).
-    fn step_batch(&mut self, max_cycles: u64) -> SimResult<Option<u16>> {
+    /// whole straight-line run, stopping on the first instruction
+    /// boundary at or past `limit`, before returning to the polling loop.
+    /// Only called from [`Machine::run`] when no profiler is attached and
+    /// no interrupt is latched, with `limit` from
+    /// [`Machine::batch_limit`] (so per-instruction polling is
+    /// unobservable).
+    fn step_batch(&mut self, limit: u64) -> SimResult<Option<u16>> {
         if self.bus.map().trap.contains(self.cpu.pc()) {
             return self.step();
         }
         match &mut self.engine {
-            Some(e) => e.step_batched(&mut self.cpu, &mut self.bus, max_cycles)?,
+            Some(e) => e.step_batched(&mut self.cpu, &mut self.bus, limit)?,
             None => {
                 self.cpu.step(&mut self.bus)?;
             }

@@ -19,10 +19,22 @@
 //!   `STATS_EVERY` steps, so any future divergence is localised to the
 //!   instruction that introduced it instead of surfacing as a checksum
 //!   mismatch millions of cycles later.
+//! - **Schedule boundaries**: the pre-decoded engine batches straight-line
+//!   runs up to the next fault event or timer fire, so one scheduled
+//!   event — a power loss, a bit flip into cached code, a one-shot timer
+//!   fire — is placed at every cycle of a run's first
+//!   `DENSE_CYCLES` cycles (first miss, memcpy into SRAM, first decoded
+//!   blocks) and at `SEEDED_EVENTS` seeded cycles across the rest, and
+//!   both engines must agree on where it landed and what followed.
 
 use mibench::{build, input_for, prepare, run_on, Benchmark, Built, MemoryProfile, RunResult, System};
+use msp430_sim::cpu::FLAG_GIE;
 use msp430_sim::machine::Fr2355;
-use msp430_sim::{Engine, Frequency, Machine, Reg};
+use msp430_sim::rng::SplitMix64;
+use msp430_sim::{
+    Engine, ExitReason, FaultEvent, FaultKind, FaultPlan, Frequency, IrqSchedule, IrqTimer,
+    Machine, Reg, SimResult,
+};
 
 /// Generous cycle budget: every benchmark halts well below this.
 const MAX_CYCLES: u64 = 4_000_000_000;
@@ -196,4 +208,171 @@ fn lockstep_stringsearch_swapram() {
         &System::SwapRam(swapram::SwapConfig::unified_fr2355()),
         Frequency::MHZ_24,
     );
+}
+
+/// Schedule boundaries: an event lands at every cycle in `0..=DENSE_CYCLES`.
+const DENSE_CYCLES: u64 = 2000;
+/// Schedule boundaries: seeded event cycles across the rest of the run.
+const SEEDED_EVENTS: usize = 200;
+/// FRAM wait states make instruction costs uneven at 24 MHz, which is
+/// what the batch bound must get exactly right.
+const SCHEDULE_FREQ: Frequency = Frequency::MHZ_24;
+
+/// crc under SwapRAM (unified 4 KiB cache), with or without the timer
+/// harness that adds an ISR vector and enables interrupts around `main`.
+fn swap_crc(irq_harness: bool) -> (Built, Vec<u8>) {
+    let cfg = swapram::SwapConfig::unified_fr2355().with_irq_harness(irq_harness);
+    let built = build(Benchmark::Crc, &System::SwapRam(cfg), &MemoryProfile::unified())
+        .expect("crc builds under SwapRAM");
+    (built, input_for(Benchmark::Crc, SEED))
+}
+
+/// Every cycle of the dense prefix, then `SEEDED_EVENTS` seeded cycles in
+/// `(DENSE_CYCLES, total)`.
+fn event_cycles(total: u64) -> Vec<u64> {
+    assert!(total > 2 * DENSE_CYCLES, "run too short for the seeded tail: {total}");
+    let mut rng = SplitMix64::new(SEED);
+    let mut cycles: Vec<u64> = (0..=DENSE_CYCLES).collect();
+    let tail = total - DENSE_CYCLES - 1;
+    cycles.extend((0..SEEDED_EVENTS).map(|_| DENSE_CYCLES + 1 + rng.below(tail)));
+    cycles
+}
+
+/// What one scheduled run leaves behind; both engines must agree on all of it.
+#[derive(Debug, PartialEq)]
+struct Landing {
+    result: SimResult<RunResult>,
+    regs: Vec<u16>,
+    fired: Option<usize>,
+}
+
+/// Prepares a fresh machine under `engine`, lets `arm` attach the
+/// schedule, and runs it with `budget`.
+fn land(
+    built: &Built,
+    input: &[u8],
+    engine: Engine,
+    budget: u64,
+    arm: &dyn Fn(&mut Machine),
+) -> Landing {
+    let mut m = Fr2355::machine(SCHEDULE_FREQ);
+    m.set_engine(engine);
+    let (swap, block) = prepare(&mut m, built, input).expect("prepare");
+    arm(&mut m);
+    let result = m.run(budget).map(|outcome| RunResult {
+        outcome,
+        swap: swap.map(|h| h.borrow().clone()),
+        block: block.map(|h| h.borrow().clone()),
+    });
+    Landing {
+        result,
+        regs: (0..16).map(|n| m.cpu().reg(Reg::r(n))).collect(),
+        fired: m.fault_plan().map(FaultPlan::fired),
+    }
+}
+
+/// Runs one event per cycle in `cycles` under both engines and asserts
+/// identical landings; returns the interpreter's, in `cycles` order.
+fn diff_schedule(
+    what: &str,
+    built: &Built,
+    input: &[u8],
+    budget: u64,
+    cycles: &[u64],
+    arm: impl Fn(&mut Machine, u64),
+) -> Vec<Landing> {
+    cycles
+        .iter()
+        .map(|&c| {
+            let interp = land(built, input, Engine::Interp, budget, &|m| arm(m, c));
+            let pre = land(built, input, Engine::Predecoded, budget, &|m| arm(m, c));
+            assert_eq!(interp, pre, "{what} at cycle {c}: engines diverged");
+            interp
+        })
+        .collect()
+}
+
+/// Cycles of a clean run of `built`.
+fn clean_cycles(built: &Built, input: &[u8]) -> u64 {
+    let clean = run_with(built, SCHEDULE_FREQ, input, Engine::Predecoded);
+    assert!(clean.outcome.success(), "clean run failed: {:?}", clean.outcome.exit);
+    clean.outcome.stats.total_cycles()
+}
+
+#[test]
+fn schedule_power_loss_lands_identically() {
+    let (built, input) = swap_crc(false);
+    let total = clean_cycles(&built, &input);
+    let cycles = event_cycles(total);
+    let landings = diff_schedule("power loss", &built, &input, MAX_CYCLES, &cycles, |m, c| {
+        let kind = FaultKind::PowerLoss;
+        m.attach_fault_plan(FaultPlan::new(vec![FaultEvent { cycle: c, kind }]));
+    });
+    for (c, l) in cycles.iter().zip(&landings) {
+        let outcome = &l.result.as_ref().expect("a power loss is not a simulation error").outcome;
+        assert_eq!(outcome.exit, ExitReason::PowerLoss, "loss at cycle {c}");
+        assert_eq!(l.fired, Some(1), "loss at cycle {c}");
+        assert!(outcome.stats.total_cycles() >= *c, "loss at cycle {c} fired early");
+    }
+}
+
+#[test]
+fn schedule_bit_flip_into_cached_code_lands_identically() {
+    let (built, input) = swap_crc(false);
+    let mibench::Program::Swap(inst, _) = &built.program else { unreachable!("SwapRAM build") };
+    let func = inst.func_by_name("crc32_buf").expect("crc32_buf is cacheable");
+    // Where the clean run cached crc32_buf: its redirection word ends up
+    // pointing at the SRAM copy (the 4 KiB cache never evicts it).
+    let mut probe = Fr2355::machine(SCHEDULE_FREQ);
+    let clean = run_on(&mut probe, &built, &input, MAX_CYCLES).expect("clean run");
+    assert!(clean.outcome.success());
+    let copy = probe.bus().peek_word(func.redir_addr);
+    assert!((0x2000..0x3000).contains(&copy), "crc32_buf not cached in SRAM: {copy:#06x}");
+    let total = clean.outcome.stats.total_cycles();
+    let cycles = event_cycles(total);
+    // A flip may send the program into a loop: twice the clean run ends it.
+    let landings = diff_schedule("bit flip", &built, &input, 2 * total, &cycles, |m, c| {
+        let mut rng = SplitMix64::new(c);
+        let addr = copy + rng.below(u64::from(func.size)) as u16;
+        let bit = rng.below(8) as u8;
+        let kind = FaultKind::BitFlip { addr, bit };
+        m.attach_fault_plan(FaultPlan::new(vec![FaultEvent { cycle: c, kind }]));
+    });
+    let fired = landings.iter().filter(|l| l.fired == Some(1)).count();
+    let diverted = landings
+        .iter()
+        .filter(|l| l.result.as_ref().map_or(true, |r| r.outcome != clean.outcome))
+        .count();
+    assert!(fired > cycles.len() / 2, "only {fired} flips fired");
+    assert!(diverted > 0, "no flip changed the program's behaviour");
+}
+
+#[test]
+fn schedule_timer_fire_lands_identically() {
+    let (built, input) = swap_crc(true);
+    let vector = built.irq.expect("the harness build carries an ISR").vector;
+    let total = clean_cycles(&built, &input);
+    let cycles = event_cycles(total);
+    let landings = diff_schedule("timer fire", &built, &input, MAX_CYCLES, &cycles, |m, c| {
+        m.bus_mut().attach_timer(IrqTimer::new(IrqSchedule::at(vec![c]), vector));
+    });
+    // Where GIE was clear at a fire's landing boundary, the interrupt was
+    // latched and delivered later: `run(c)` stops on that boundary.
+    let mut masked = 0;
+    for (&c, l) in cycles.iter().zip(&landings) {
+        let outcome = &l.result.as_ref().expect("a timer fire is not a simulation error").outcome;
+        assert!(outcome.success(), "fire at cycle {c}: {:?}", outcome.exit);
+        if c > DENSE_CYCLES {
+            continue;
+        }
+        assert_eq!(outcome.stats.irq_delivered, 1, "fire at cycle {c}");
+        let mut probe = Fr2355::machine(SCHEDULE_FREQ);
+        prepare(&mut probe, &built, &input).expect("prepare");
+        probe.bus_mut().detach_timer();
+        probe.run(c).expect("probe run");
+        if probe.cpu().sr() & FLAG_GIE == 0 {
+            masked += 1;
+        }
+    }
+    assert!(masked > 0, "no fire landed while GIE was clear");
 }
