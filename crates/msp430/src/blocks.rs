@@ -6,11 +6,14 @@
 //! keeps polling faults, sanitizer violations and the cycle budget at
 //! identical points — while eliminating the per-step fetch/decode work and
 //! dispatching precomputed cycle/category/accounting plans instead.
-//! [`BlockEngine::step_batched`] executes whole straight-line runs per
-//! call with the run loop's checks replicated inline, eliminating the
-//! per-instruction dispatch overhead too: batches are bounded by the
-//! budget, the next fault event and the next timer fire, and the machine
-//! single-steps only with a profiler or a latched interrupt.
+//! [`BlockEngine::step_batched`] executes whole blocks per call and chains
+//! from each block into the next along the executed control flow, with the
+//! run loop's checks replicated inline, eliminating the per-instruction
+//! dispatch overhead too. A batch returns to the run loop only where the
+//! loop has work to do: an inline poll trips, the PC reaches the trap
+//! window, a `reti` retires, no block can be built, or the next block could
+//! reach the budget, the next fault event or the next timer fire. The
+//! machine single-steps only with a profiler or a latched interrupt.
 //!
 //! # Invalidation contract
 //!
@@ -190,22 +193,40 @@ impl BlockEngine {
         }
     }
 
-    /// Executes as many consecutive instructions of the current block as
-    /// [`crate::machine::Machine::run`]'s polling permits, then returns.
+    /// Executes instructions from the current PC for as long as
+    /// [`crate::machine::Machine::run`]'s polling permits, following
+    /// control flow from block to block, then returns.
     ///
     /// `limit` is the smallest of the cycle budget, the next fault event
     /// and the next timer fire, so no scheduled event can become due
     /// before the batch reaches it; with no profiler attached and no
     /// interrupt latched, nothing else outside the loop's own checks can
     /// observe instruction boundaries. Those checks are replicated inline
-    /// after every instruction — stack floor, latched violation, halt
-    /// port, code-write barrier, `limit` — and the batch stops at the
-    /// first instruction after which any of them would make the run loop
-    /// act, leaving the machine in exactly the state per-instruction
-    /// stepping would have. The barrier check additionally stops the batch
-    /// when an instruction stores into watched code, so a self-modified
-    /// block never executes stale successors (the next call drains it,
-    /// same as [`BlockEngine::step`]).
+    /// after every instruction that can trip them — stack floor, latched
+    /// violation, halt port, code-write barrier, `limit` — and the batch
+    /// stops at the first instruction after which any of them would make
+    /// the run loop act, leaving the machine in exactly the state
+    /// per-instruction stepping would have. The barrier check additionally
+    /// stops the batch when an instruction stores into watched code, so a
+    /// self-modified block never executes stale successors (the next call
+    /// drains it, same as [`BlockEngine::step`]).
+    ///
+    /// When a block runs to its end, the batch chains into the block at the
+    /// new PC, looked up or built as on entry, unless
+    ///
+    /// * the block ended in `reti`, whose interrupt boundary the run loop
+    ///   reports;
+    /// * the new PC is in the trap window, which the runtime hook services;
+    /// * no block can be built there (the next call delegates to the
+    ///   interpreter);
+    /// * the next block's worst-case cost could reach `limit` (the next
+    ///   call steps it exactly, instruction by instruction).
+    ///
+    /// Chaining is exact because every check the run loop makes between
+    /// two blocks is a no-op there: faults and timer fires lie at or past
+    /// `limit` and the chain stays below it, nothing inside a batch can
+    /// latch an interrupt, and every instruction that can move SP, store,
+    /// halt or latch a violation was already polled inline.
     ///
     /// # Errors
     ///
@@ -220,7 +241,7 @@ impl BlockEngine {
             self.drain(bus);
         }
         let pc = cpu.pc();
-        let (slot, mut idx) = match self.cursor {
+        let (mut slot, mut idx) = match self.cursor {
             Some((slot, idx))
                 if self.arena[slot as usize]
                     .as_ref()
@@ -242,8 +263,8 @@ impl BlockEngine {
                 }
             }
         };
-        let block = self.arena[slot as usize].as_ref().expect("validated slot");
-        let len = block.instrs.len();
+        let mut block = self.arena[slot as usize].as_ref().expect("validated slot");
+        let mut len = block.instrs.len();
         // When the cycles left before `limit` exceed the block suffix's
         // worst-case cost, no per-instruction cycle check can fire before
         // the block ends, and — since every non-terminator instruction in
@@ -253,61 +274,84 @@ impl BlockEngine {
         // instruction can actually trip: nothing for no-poll instructions
         // (loads and pure ALU ops — see `DecodedInstr::poll`), the
         // stack/violation/halt/barrier set for the rest. The suffix bound
-        // is monotonically decreasing, so once covered, always covered.
+        // is monotonically decreasing, so once covered, always covered;
+        // each chained block is checked again from its start.
         if bus.stats().total_cycles() + u64::from(block.instrs[idx].worst_suffix) < limit {
-            while idx < len {
-                let first = &block.instrs[idx];
-                // A precomputed run of pure instructions: accounting is
-                // applied from the static aggregate (plus one cache probe
-                // per distinct fetch line); only the executions themselves
-                // remain per-instruction.
-                let rp = first.run;
-                if rp.len >= 2 {
-                    let n = usize::from(rp.len);
-                    match first.plan {
-                        Plan::SramPure => bus.add_sram_ifetch(u64::from(rp.words)),
-                        _ => bus.account_fram_ifetch_run(first.pc, rp.words),
+            loop {
+                while idx < len {
+                    let first = &block.instrs[idx];
+                    // A precomputed run of pure instructions: accounting is
+                    // applied from the static aggregate (plus one cache probe
+                    // per distinct fetch line); only the executions themselves
+                    // remain per-instruction.
+                    let rp = first.run;
+                    if rp.len >= 2 {
+                        let n = usize::from(rp.len);
+                        match first.plan {
+                            Plan::SramPure => bus.add_sram_ifetch(u64::from(rp.words)),
+                            _ => bus.account_fram_ifetch_run(first.pc, rp.words),
+                        }
+                        bus.stats_mut().contention_cycles += u64::from(rp.contention);
+                        bus.charge_batch(first.cat, n as u64, u64::from(rp.unstalled));
+                        for di in &block.instrs[idx..idx + n] {
+                            cpu.set_pc(di.next_pc);
+                            // Pure instructions cannot fault (register and
+                            // immediate operands only); propagate defensively.
+                            if let Err(e) = exec_lowered(cpu, bus, di) {
+                                self.cursor = None;
+                                return Err(e);
+                            }
+                        }
+                        idx += n;
+                        continue;
                     }
-                    bus.stats_mut().contention_cycles += u64::from(rp.contention);
-                    bus.charge_batch(first.cat, n as u64, u64::from(rp.unstalled));
-                    for di in &block.instrs[idx..idx + n] {
-                        cpu.set_pc(di.next_pc);
-                        // Pure instructions cannot fault (register and
-                        // immediate operands only); propagate defensively.
-                        if let Err(e) = exec_lowered(cpu, bus, di) {
-                            self.cursor = None;
-                            return Err(e);
+                    let di = first;
+                    if let Err(e) = exec_one(cpu, bus, di) {
+                        self.cursor = None;
+                        return Err(e);
+                    }
+                    if di.poll {
+                        bus.check_stack(cpu.sp());
+                        if bus.violation_pending()
+                            || bus.ports().halt_code().is_some()
+                            || bus.code_watch_gen() != self.seen_gen
+                        {
+                            let fell_through = cpu.pc() == di.next_pc && idx + 1 < len;
+                            self.cursor = if fell_through && bus.code_watch_gen() == self.seen_gen {
+                                Some((slot, idx + 1))
+                            } else {
+                                None
+                            };
+                            return Ok(());
                         }
                     }
-                    idx += n;
-                    continue;
+                    idx += 1;
                 }
-                let di = first;
-                if let Err(e) = exec_one(cpu, bus, di) {
-                    self.cursor = None;
-                    return Err(e);
+                // Block exhausted: the last instruction was either a
+                // terminator or the decode horizon; chain by block lookup.
+                self.cursor = None;
+                if matches!(block.instrs[len - 1].exec, ExecPlan::Reti) {
+                    return Ok(());
                 }
-                if di.poll {
-                    bus.check_stack(cpu.sp());
-                    if bus.violation_pending()
-                        || bus.ports().halt_code().is_some()
-                        || bus.code_watch_gen() != self.seen_gen
-                    {
-                        let fell_through = cpu.pc() == di.next_pc && idx + 1 < len;
-                        self.cursor = if fell_through && bus.code_watch_gen() == self.seen_gen {
-                            Some((slot, idx + 1))
-                        } else {
-                            None
-                        };
-                        return Ok(());
-                    }
+                let pc = cpu.pc();
+                if bus.map().trap.contains(pc) {
+                    return Ok(());
                 }
-                idx += 1;
+                let s = self.starts[usize::from(pc)];
+                slot = if s != NO_BLOCK {
+                    s - 1
+                } else if let Some(slot) = self.build_at(bus, pc) {
+                    slot
+                } else {
+                    return Ok(());
+                };
+                block = self.arena[slot as usize].as_ref().expect("validated slot");
+                if bus.stats().total_cycles() + u64::from(block.instrs[0].worst_suffix) >= limit {
+                    return Ok(());
+                }
+                len = block.instrs.len();
+                idx = 0;
             }
-            // Block exhausted: the last instruction was either a
-            // terminator or the decode horizon; resume by block lookup.
-            self.cursor = None;
-            return Ok(());
         }
         // Near `limit`: exact per-instruction stepping with the
         // full poll set, so the batch stops on precisely the same
@@ -500,17 +544,24 @@ mod tests {
     use crate::mem::{Bus, MemoryMap};
 
     fn setup(instrs: &[Instr], base: u16) -> (Cpu, Bus, BlockEngine) {
-        let mut bus = Bus::new(MemoryMap::fr2355(), HwCache::fr2355(), Frequency::MHZ_8);
+        load(MemoryMap::fr2355(), &[(base, instrs.to_vec())])
+    }
+
+    /// Loads each `(base, code)` segment; the PC starts at the first.
+    fn load(map: MemoryMap, segments: &[(u16, Vec<Instr>)]) -> (Cpu, Bus, BlockEngine) {
+        let mut bus = Bus::new(map, HwCache::fr2355(), Frequency::MHZ_8);
         bus.enable_code_watch();
-        let mut at = base;
-        for i in instrs {
-            for w in i.encode(at).unwrap() {
-                bus.poke_word(at, w);
-                at = at.wrapping_add(2);
+        for (base, instrs) in segments {
+            let mut at = *base;
+            for i in instrs {
+                for w in i.encode(at).unwrap() {
+                    bus.poke_word(at, w);
+                    at = at.wrapping_add(2);
+                }
             }
         }
         let mut cpu = Cpu::new();
-        cpu.set_pc(base);
+        cpu.set_pc(segments[0].0);
         cpu.set_sp(0x3000);
         let mut eng = BlockEngine::new();
         eng.reset(&mut bus);
@@ -619,5 +670,240 @@ mod tests {
         c1.set_pc(0x4000);
         eng.step(&mut c1, &mut b1).unwrap();
         assert!(eng.blocks_invalidated() > inv, "flip must invalidate the block");
+    }
+
+    /// Batch limit of the chaining tests: far beyond what their programs
+    /// need, so a chain that fails to stop ends here instead of spinning.
+    const LIMIT: u64 = 10_000;
+
+    fn reg_op(op: Opcode, src: Reg, dst: Reg) -> Instr {
+        Instr::FormatI {
+            op,
+            size: Size::Word,
+            src: Operand::Reg(src),
+            dst: Operand::Reg(dst),
+        }
+    }
+
+    /// `op` at `from` jumping to `to`.
+    fn jump(op: Opcode, from: u16, to: u16) -> Instr {
+        Instr::Jump {
+            op,
+            offset_words: (to.wrapping_sub(from + 2) as i16) / 2,
+        }
+    }
+
+    /// `BR #to`.
+    fn branch(to: u16) -> Instr {
+        Instr::FormatI {
+            op: Opcode::Mov,
+            size: Size::Word,
+            src: Operand::Imm(to),
+            dst: Operand::Reg(Reg::PC),
+        }
+    }
+
+    fn retired(bus: &Bus) -> u64 {
+        bus.stats().instructions.iter().sum()
+    }
+
+    /// Steps the interpreter (`c2`, `b2`, loaded like the engine's machine)
+    /// one instruction at a time until it has retired as many
+    /// instructions as the engine, then asserts identical statistics and
+    /// register files.
+    fn assert_interp_agrees(c1: &Cpu, b1: &Bus, c2: &mut Cpu, b2: &mut Bus) {
+        while retired(b2) < retired(b1) {
+            c2.step(b2).unwrap();
+        }
+        assert_eq!(b1.stats(), b2.stats());
+        let regs = |c: &Cpu| (0..16).map(|n| c.reg(Reg::r(n))).collect::<Vec<_>>();
+        assert_eq!(regs(c1), regs(c2));
+    }
+
+    /// One batch follows a taken jump into the next block.
+    #[test]
+    fn batch_chains_across_a_taken_jump() {
+        // Block A jumps over one word into block B, which leaves for the
+        // trap window.
+        let prog = vec![
+            (
+                0x4000,
+                vec![
+                    mov_imm(1, Reg::R12),
+                    jump(Opcode::Jmp, 0x4002, 0x4006),
+                    mov_imm(2, Reg::R13),
+                ],
+            ),
+            (0x4006, vec![mov_imm(4, Reg::R14), branch(0x0F00)]),
+        ];
+        let (mut c1, mut b1, mut eng) = load(MemoryMap::fr2355(), &prog);
+        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        assert_eq!(c1.reg(Reg::R14), 4, "the second block ran in the same call");
+        assert_eq!(c1.reg(Reg::R13), 0, "the jumped-over word did not");
+        assert_eq!(eng.blocks_built(), 2);
+        let (mut c2, mut b2, _) = load(MemoryMap::fr2355(), &prog);
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
+    }
+
+    /// The chain stops with the PC on a trap-window address, even when
+    /// the window lies over decodable FRAM code (so a block could be
+    /// built there): the runtime hook, not the engine, runs next.
+    #[test]
+    fn batch_stops_on_the_trap_window() {
+        let map = MemoryMap {
+            trap: crate::mem::AddrRange::new(0x4100, 0x4200),
+            ..MemoryMap::fr2355()
+        };
+        let prog = vec![
+            (0x4000, vec![mov_imm(1, Reg::R12), branch(0x4100)]),
+            (
+                0x4100,
+                vec![mov_imm(8, Reg::R15), jump(Opcode::Jmp, 0x4102, 0x4102)],
+            ),
+        ];
+        let (mut c1, mut b1, mut eng) = load(map, &prog);
+        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        assert_eq!(c1.pc(), 0x4100);
+        assert_eq!(c1.reg(Reg::R15), 0, "nothing in the trap window executed");
+        assert_eq!((eng.blocks_built(), eng.delegated()), (1, 0));
+        let (mut c2, mut b2, _) = load(map, &prog);
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
+    }
+
+    /// The chain stops right after a `reti`, so the run loop reports the
+    /// interrupt-return boundary before the resumed code runs.
+    #[test]
+    fn batch_stops_after_reti() {
+        let reti = Instr::FormatII {
+            op: Opcode::Reti,
+            size: Size::Word,
+            dst: Operand::Reg(Reg::CG),
+        };
+        let prog = vec![
+            (0x4000, vec![mov_imm(1, Reg::R12), reti]),
+            (0x4010, vec![mov_imm(2, Reg::R13), branch(0x0F00)]),
+        ];
+        // An interrupt frame on the stack: SR below the return address.
+        let frame = |c: &mut Cpu, b: &mut Bus| {
+            c.set_sp(0x2FFC);
+            b.poke_word(0x2FFC, 0);
+            b.poke_word(0x2FFE, 0x4010);
+        };
+        let (mut c1, mut b1, mut eng) = load(MemoryMap::fr2355(), &prog);
+        let (mut c2, mut b2, _) = load(MemoryMap::fr2355(), &prog);
+        frame(&mut c1, &mut b1);
+        frame(&mut c2, &mut b2);
+        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        assert_eq!((c1.pc(), c1.sp(), c1.reg(Reg::R13)), (0x4010, 0x3000, 0));
+        assert!(b1.take_reti());
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
+        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        assert_eq!((c1.pc(), c1.reg(Reg::R13)), (0x0F00, 2));
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
+    }
+
+    /// The chain stops before a block whose worst case could reach the
+    /// limit, and the next call steps that block exactly to the first
+    /// instruction boundary at or past the limit.
+    #[test]
+    fn batch_stops_before_a_block_that_could_reach_the_limit() {
+        let mut b = vec![reg_op(Opcode::Add, Reg::R12, Reg::R13); 16];
+        b.push(branch(0x0F00));
+        let prog = vec![
+            (
+                0x4000,
+                vec![mov_imm(1, Reg::R12), jump(Opcode::Jmp, 0x4002, 0x4010)],
+            ),
+            (0x4010, b),
+        ];
+        let (mut c1, mut b1, mut eng) = load(MemoryMap::fr2355(), &prog);
+        let (mut c2, mut b2, _) = load(MemoryMap::fr2355(), &prog);
+        // Cycles of block A, and the worst-case bounds of both blocks.
+        c2.step(&mut b2).unwrap();
+        c2.step(&mut b2).unwrap();
+        let cycles_a = b2.stats().total_cycles();
+        let worst_a = build_block(&b1, 0x4000).unwrap().instrs[0].worst_suffix;
+        let worst_b = build_block(&b1, 0x4010).unwrap().instrs[0].worst_suffix;
+        let limit = cycles_a + 8;
+        assert!(u64::from(worst_a) < limit, "block A runs on the fast path");
+        assert!(
+            cycles_a + u64::from(worst_b) >= limit,
+            "block B could reach the limit"
+        );
+
+        eng.step_batched(&mut c1, &mut b1, limit).unwrap();
+        assert_eq!(c1.pc(), 0x4010, "stopped at block B's start");
+        assert_eq!(b1.stats().total_cycles(), cycles_a);
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
+
+        eng.step_batched(&mut c1, &mut b1, limit).unwrap();
+        while b2.stats().total_cycles() < limit {
+            c2.step(&mut b2).unwrap();
+        }
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
+        assert_eq!(
+            retired(&b1),
+            retired(&b2),
+            "first boundary at or past the limit"
+        );
+    }
+
+    /// A store in a later block of the chain rewrites an earlier block;
+    /// the chain stops at the store, and when it loops back the new bytes
+    /// execute.
+    #[test]
+    fn chained_store_into_an_earlier_block_executes_the_new_bytes() {
+        let patch = mov_imm(8, Reg::R14).encode(0x4000).unwrap();
+        assert_eq!(patch.len(), 1);
+        let store = Instr::FormatI {
+            op: Opcode::Mov,
+            size: Size::Word,
+            src: Operand::Imm(patch[0]),
+            dst: Operand::Absolute(0x4000),
+        };
+        let prog = vec![
+            // A: placeholder no-op (patched to `MOV #8, R14`), then to B.
+            (
+                0x4000,
+                vec![
+                    reg_op(Opcode::Mov, Reg::R12, Reg::R12),
+                    jump(Opcode::Jmp, 0x4002, 0x4010),
+                ],
+            ),
+            // B: count passes; the second pass leaves, the first patches A
+            // (3-word store at 0x4016) and loops back to it.
+            (
+                0x4010,
+                vec![
+                    mov_imm(1, Reg::R12),
+                    reg_op(Opcode::Add, Reg::R12, Reg::R15),
+                    jump(Opcode::Jz, 0x4014, 0x4040),
+                    store,
+                    jump(Opcode::Jmp, 0x401C, 0x4000),
+                ],
+            ),
+            (0x4040, vec![branch(0x0F00)]),
+        ];
+        // R15 = -2: the second pass's ADD reaches zero.
+        let (mut c1, mut b1, mut eng) = load(MemoryMap::fr2355(), &prog);
+        let (mut c2, mut b2, _) = load(MemoryMap::fr2355(), &prog);
+        c1.set_reg(Reg::R15, 0xFFFE);
+        c2.set_reg(Reg::R15, 0xFFFE);
+        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        assert_eq!(
+            c1.pc(),
+            0x401C,
+            "the barrier stops the chain right after the store"
+        );
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
+        let mut calls = 0;
+        while c1.pc() != 0x0F00 {
+            eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+            calls += 1;
+            assert!(calls < 8, "runaway");
+        }
+        assert_eq!(c1.reg(Reg::R14), 8, "rewritten instruction must execute");
+        assert!(eng.blocks_invalidated() >= 1);
+        assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
     }
 }

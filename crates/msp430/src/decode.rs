@@ -132,9 +132,10 @@ pub struct DecodedInstr {
     /// Execution dispatch (see [`ExecPlan`]).
     pub exec: ExecPlan,
     /// Whether the batched engine must run the full per-instruction poll
-    /// set after executing this instruction (see [`needs_poll`]): false
-    /// for instructions that provably cannot store, halt, move SP, or
-    /// latch a violation — those only need the cycle-budget check.
+    /// set after executing this instruction (see [`needs_poll`]; every
+    /// [`Plan::Replay`] fetch polls too): false for instructions that
+    /// provably cannot store, halt, move SP, or latch a violation — those
+    /// only need the cycle-budget check.
     pub poll: bool,
     /// Batch aggregate of the maximal run of consecutive batchable
     /// instructions starting here (`len == 0` when this instruction is
@@ -216,16 +217,19 @@ fn writes_sp(instr: &Instr) -> bool {
     }
 }
 
-/// Whether the batched engine must run the full per-instruction poll set
-/// (stack check, violation, halt port, invalidation generation) after this
-/// instruction. `false` only when the instruction provably cannot store
-/// (register destination), cannot move SP (destination is not SP and the
-/// source is not an `@SP+` auto-increment, which pops), and is not
-/// PUSH/CALL/RETI (implicit stack traffic). Such instructions — loads and
-/// pure ALU ops — can still stall on data-read misses, so the cycle-budget
-/// check remains; everything else is statically impossible: stores need a
-/// memory destination, the halt port and sanitizer store/ifetch checks
-/// only trigger on writes or fetches, and data reads are never checked.
+/// Whether executing `instr` can trip the batched engine's per-instruction
+/// poll set (stack check, violation, halt port, invalidation generation).
+/// `false` only when the instruction provably cannot store (register
+/// destination), cannot move SP (destination is not SP and the source is
+/// not an `@SP+` auto-increment, which pops), and is not PUSH/CALL/RETI
+/// (implicit stack traffic). Such instructions — loads and pure ALU ops —
+/// can still stall on data-read misses, so the cycle-budget check remains;
+/// their execution cannot latch anything else: stores need a memory
+/// destination, the halt port and sanitizer store checks only trigger on
+/// writes, and data reads are never checked. The fetch is a separate
+/// matter: a [`Plan::Replay`] fetch runs the sanitizer's ifetch check,
+/// which can latch a wild jump or stale fetch, so [`decode_at`] also polls
+/// every replayed instruction.
 fn needs_poll(instr: &Instr) -> bool {
     match *instr {
         Instr::FormatI { src, dst, .. } => {
@@ -366,7 +370,7 @@ fn decode_at(bus: &Bus, pc: u16) -> Option<DecodedInstr> {
         cycles: instr_cycles(&instr),
         plan,
         exec,
-        poll: needs_poll(&instr),
+        poll: needs_poll(&instr) || plan == Plan::Replay,
         run: RunPlan::default(),
         worst_suffix: 0,
         instr,

@@ -124,7 +124,7 @@ impl FaultPlan {
 
     /// Cycle of the next event still to fire, `None` once the plan is
     /// exhausted. Nothing fires before it, so it bounds a batch of
-    /// straight-line execution (see [`crate::machine::Machine::run`]).
+    /// chained-block execution (see [`crate::machine::Machine::run`]).
     pub fn next_cycle(&self) -> Option<u64> {
         self.events.get(self.next).map(|e| e.cycle)
     }

@@ -104,7 +104,7 @@ impl IrqSchedule {
     /// Cycle of the next fire: the earlier of the next one-shot event and
     /// the next periodic fire, `None` once a one-shot-only schedule has
     /// run dry. Nothing latches before it, so it bounds a batch of
-    /// straight-line execution (see [`crate::machine::Machine::run`]).
+    /// chained-block execution (see [`crate::machine::Machine::run`]).
     pub fn next_fire(&self) -> Option<u64> {
         let one_shot = self.events.get(self.next).copied();
         let periodic = (self.period != 0).then_some(self.next_periodic);

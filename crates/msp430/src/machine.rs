@@ -399,13 +399,14 @@ impl Machine {
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunOutcome> {
         // Batches are bounded by the budget, the next fault event and the
         // next timer fire, and single-step only with a profiler or a
-        // latched interrupt. The pre-decoded engine stops a batch on the
-        // exact boundary where the bound is reached and replicates this
-        // loop's other checks inline (see [`BlockEngine::step_batched`]),
-        // so faults fire and fires latch where per-instruction stepping
-        // would put them. A profiler records every PC, and a latched
-        // interrupt's delivery depends on `GIE` and the trap window at
-        // every boundary.
+        // latched interrupt. The pre-decoded engine chains a batch from
+        // block to block, stops it on the exact boundary where the bound
+        // is reached and replicates this loop's other checks inline (see
+        // [`BlockEngine::step_batched`]), so faults fire and fires latch
+        // where per-instruction stepping would put them; it also returns
+        // at every `reti` and trap-window PC, which this loop handles. A
+        // profiler records every PC, and a latched interrupt's delivery
+        // depends on `GIE` and the trap window at every boundary.
         let irq = self.bus.timer().is_some();
         let mut limit = self.batch_limit(max_cycles);
         let exit = loop {
@@ -514,8 +515,9 @@ impl Machine {
     }
 
     /// Like [`Machine::step`], but lets the pre-decoded engine execute a
-    /// whole straight-line run, stopping on the first instruction
-    /// boundary at or past `limit`, before returning to the polling loop.
+    /// batch that chains across blocks until one of its stop rules
+    /// (an inline poll, `reti`, the trap window, the approach of `limit`;
+    /// see [`BlockEngine::step_batched`]) returns to the polling loop.
     /// Only called from [`Machine::run`] when no profiler is attached and
     /// no interrupt is latched, with `limit` from
     /// [`Machine::batch_limit`] (so per-instruction polling is
@@ -771,53 +773,98 @@ mod tests {
         assert!(out.console.contains(&0x13), "flip must be visible through the cache");
     }
 
+    /// Loads `instrs` at 0x4000 under each engine, attaches `cfg` and
+    /// runs; both engines must agree on the whole outcome and final PC.
+    fn sanitized_run_both(
+        instrs: &[Instr],
+        extra: &[(u16, &[Instr])],
+        cfg: &crate::sanitize::SanitizerConfig,
+    ) -> RunOutcome {
+        let mut runs = Vec::new();
+        for engine in [Engine::Interp, Engine::Predecoded] {
+            let mut m = Fr2355::machine(Frequency::MHZ_8);
+            m.set_engine(engine);
+            m.load(&image_of(instrs, 0x4000));
+            for &(base, code) in extra {
+                m.bus_mut().load_image(&image_of(code, base)).unwrap();
+            }
+            m.bus_mut().attach_sanitizer(cfg.clone());
+            let out = m.run(1_000).unwrap();
+            runs.push((out, m.cpu().pc()));
+        }
+        assert_eq!(runs[0], runs[1], "interpreter vs pre-decoded");
+        runs.pop().unwrap().0
+    }
+
+    /// `BR #addr`.
+    fn branch_to(addr: u16) -> Instr {
+        Instr::FormatI {
+            op: Opcode::Mov,
+            size: Size::Word,
+            src: Operand::Imm(addr),
+            dst: Operand::Reg(Reg::PC),
+        }
+    }
+
     #[test]
     fn sanitizer_flags_wild_jump_as_typed_exit() {
         use crate::sanitize::{SanitizerConfig, Violation};
 
-        let mut m = Fr2355::machine(Frequency::MHZ_8);
         // BR #0x9000: leaves the configured executable range.
-        m.load(&image_of(
-            &[Instr::FormatI {
-                op: Opcode::Mov,
-                size: Size::Word,
-                src: Operand::Imm(0x9000),
-                dst: Operand::Reg(Reg::PC),
-            }],
-            0x4000,
-        ));
-        m.bus_mut().attach_sanitizer(SanitizerConfig {
-            exec: vec![crate::mem::AddrRange::new(0x4000, 0x8000)],
-            ..SanitizerConfig::default()
-        });
-        let out = m.run(1_000).unwrap();
+        let out = sanitized_run_both(
+            &[branch_to(0x9000)],
+            &[],
+            &SanitizerConfig {
+                exec: vec![crate::mem::AddrRange::new(0x4000, 0x8000)],
+                ..SanitizerConfig::default()
+            },
+        );
         assert_eq!(out.exit, ExitReason::SanitizerTrap(Violation::WildJump { pc: 0x9000 }));
+    }
+
+    /// A wild jump into decodable register-only code: the instruction whose
+    /// fetch latched the violation retires, and nothing after it does —
+    /// the pre-decoded engine polls every replayed fetch.
+    #[test]
+    fn wild_jump_into_register_code_stops_after_the_latching_fetch() {
+        use crate::sanitize::{SanitizerConfig, Violation};
+
+        let add = Instr::FormatI {
+            op: Opcode::Add,
+            size: Size::Word,
+            src: Operand::Reg(Reg::R12),
+            dst: Operand::Reg(Reg::R13),
+        };
+        let wild = [add, add, add, add, Instr::Jump { op: Opcode::Jmp, offset_words: -1 }];
+        let out = sanitized_run_both(
+            &[branch_to(0x9000)],
+            &[(0x9000, &wild)],
+            &SanitizerConfig {
+                exec: vec![crate::mem::AddrRange::new(0x4000, 0x8000)],
+                ..SanitizerConfig::default()
+            },
+        );
+        assert_eq!(out.exit, ExitReason::SanitizerTrap(Violation::WildJump { pc: 0x9000 }));
+        assert_eq!(out.stats.instructions.iter().sum::<u64>(), 2, "BR and the first wild ADD");
     }
 
     #[test]
     fn sanitizer_flags_fetch_from_unfilled_sram() {
         use crate::sanitize::{SanitizerConfig, Violation};
 
-        let mut m = Fr2355::machine(Frequency::MHZ_8);
         // BR #0x2800: jumps into tracked SRAM nothing ever filled.
-        m.load(&image_of(
-            &[Instr::FormatI {
-                op: Opcode::Mov,
-                size: Size::Word,
-                src: Operand::Imm(0x2800),
-                dst: Operand::Reg(Reg::PC),
-            }],
-            0x4000,
-        ));
-        m.bus_mut().attach_sanitizer(SanitizerConfig {
-            exec: vec![
-                crate::mem::AddrRange::new(0x4000, 0x8000),
-                crate::mem::AddrRange::new(0x2800, 0x3000),
-            ],
-            tracked: Some(crate::mem::AddrRange::new(0x2800, 0x3000)),
-            ..SanitizerConfig::default()
-        });
-        let out = m.run(1_000).unwrap();
+        let out = sanitized_run_both(
+            &[branch_to(0x2800)],
+            &[],
+            &SanitizerConfig {
+                exec: vec![
+                    crate::mem::AddrRange::new(0x4000, 0x8000),
+                    crate::mem::AddrRange::new(0x2800, 0x3000),
+                ],
+                tracked: Some(crate::mem::AddrRange::new(0x2800, 0x3000)),
+                ..SanitizerConfig::default()
+            },
+        );
         assert_eq!(out.exit, ExitReason::SanitizerTrap(Violation::StaleFetch { pc: 0x2800 }));
     }
 
@@ -831,14 +878,15 @@ mod tests {
             src: Operand::Imm(0xBEEF),
             dst: Operand::Absolute(0x4100),
         };
-        let mut m = Fr2355::machine(Frequency::MHZ_8);
-        m.load(&image_of(&[store, halt_with(0)], 0x4000));
-        m.bus_mut().attach_sanitizer(SanitizerConfig {
-            exec: vec![crate::mem::AddrRange::new(0x4000, 0x8000)],
-            protected: vec![crate::mem::AddrRange::new(0x4000, 0x4200)],
-            ..SanitizerConfig::default()
-        });
-        let out = m.run(1_000).unwrap();
+        let out = sanitized_run_both(
+            &[store, halt_with(0)],
+            &[],
+            &SanitizerConfig {
+                exec: vec![crate::mem::AddrRange::new(0x4000, 0x8000)],
+                protected: vec![crate::mem::AddrRange::new(0x4000, 0x4200)],
+                ..SanitizerConfig::default()
+            },
+        );
         assert_eq!(out.exit, ExitReason::SanitizerTrap(Violation::BadStore { addr: 0x4100 }));
     }
 
