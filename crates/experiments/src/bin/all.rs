@@ -3,9 +3,9 @@
 //! through one shared harness.
 //!
 //! Flags / environment:
-//! - `--fast` or `SWAPRAM_FAST=1`: skip the ablation studies and the 8 MHz
-//!   Figure 9 variant, and run the fault suites at their smaller sizes
-//!   (the CI configuration).
+//! - `--fast`: skip the ablation studies and the 8 MHz Figure 9 variant,
+//!   and run the fault suites at their smaller sizes (the CI
+//!   configuration).
 //! - `SWAPRAM_JOBS=<n>`: worker-thread count (default: available cores).
 //! - `--json <path>`: where to write the JSON report (default
 //!   `BENCH_experiments.json` in the current directory).
@@ -25,8 +25,7 @@ use experiments::{faults, harness};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast")
-        || std::env::var("SWAPRAM_FAST").is_ok_and(|v| v != "0" && !v.is_empty());
+    let fast = args.iter().any(|a| a == "--fast");
     let json_path = args
         .iter()
         .position(|a| a == "--json")

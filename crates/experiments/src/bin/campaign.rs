@@ -36,7 +36,9 @@
 //!   rejected with a clear error when 0 or malformed).
 //!
 //! Exit codes: 0 complete, 1 I/O failure, 2 usage/environment error,
-//! 3 campaign incomplete (some cells still pending).
+//! 3 campaign incomplete (some cells still pending), 4 complete but the
+//! merged summary counts failed or wrong cells (the merged JSON and the
+//! report are still written).
 
 use experiments::campaign::{self, CampaignSpec, MergeOutcome};
 use experiments::{faults, harness, json};
@@ -165,6 +167,11 @@ fn coordinate(
             harness::finish("campaign", &h);
             write_exec_sidecar(json_path, &h, procs, &prepared, t0);
             eprintln!("campaign: JSON -> {}", json_path.display());
+            let failed = campaign::failed_cells(&doc);
+            if failed > 0 {
+                eprintln!("campaign: {failed} cell(s) failed or produced wrong output");
+                std::process::exit(4);
+            }
         }
         Ok(MergeOutcome::Incomplete { done, total }) => {
             eprintln!(

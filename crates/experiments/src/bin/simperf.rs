@@ -6,8 +6,8 @@
 //! the combined report's stdout must stay byte-identical across runs.
 //!
 //! Flags / environment:
-//! - `--fast` or `SWAPRAM_FAST=1`: one frequency (24 MHz) and a smaller
-//!   per-cell time budget instead of the full two-frequency matrix.
+//! - `--fast`: one frequency (24 MHz) and a smaller per-cell time budget
+//!   instead of the full two-frequency matrix.
 //! - `--json <path>`: write the `simperf` rows to `path`.
 //! - `--check <min>`: exit nonzero unless the geomean speedup is at
 //!   least `<min>` (e.g. `--check 3.0` in CI).
@@ -18,8 +18,7 @@ use experiments::simperf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast")
-        || std::env::var("SWAPRAM_FAST").is_ok_and(|v| v != "0" && !v.is_empty());
+    let fast = args.iter().any(|a| a == "--fast");
     let json_path = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1).cloned());
     let check: Option<f64> = args
         .iter()

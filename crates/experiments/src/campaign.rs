@@ -1152,6 +1152,12 @@ fn doc_header(doc: &Json) -> (String, u64, u64, u64, u64) {
     (name, cells, get("ok"), get("dnf"), get("failed"))
 }
 
+/// Cells the merged document's summary counts as failed: a run that
+/// errored or did not survive, or one whose output was wrong.
+pub fn failed_cells(doc: &Json) -> u64 {
+    doc_header(doc).4
+}
+
 /// Renders the merged campaign document as the stdout report: status
 /// counts plus the per-axis percentile and pareto tables.
 pub fn render(doc: &Json) -> String {
@@ -1314,5 +1320,23 @@ mod tests {
         let front = s.get("pareto").unwrap().get("overhead_vs_progress").and_then(Json::as_arr).unwrap();
         assert_eq!(front.len(), 1);
         assert_eq!(front[0].get("on_front"), Some(&Json::Bool(true)));
+    }
+
+    /// The campaign's failure exit counts wrong output as well as failed
+    /// runs, and never a DNF.
+    #[test]
+    fn failed_cells_counts_wrong_and_failed_rows() {
+        let rows: Vec<Json> = [
+            r#"{"status":"ok","correct":true,"fault_seed":null}"#,
+            r#"{"status":"ok","correct":false,"fault_seed":null}"#,
+            r#"{"status":"failed","correct":true,"fault_seed":"00000000000000aa"}"#,
+            r#"{"status":"dnf"}"#,
+        ]
+        .iter()
+        .map(|r| json::parse(r).unwrap())
+        .collect();
+        let doc = Json::obj(vec![("summary", summary_json(&rows))]);
+        assert_eq!(failed_cells(&doc), 2);
+        assert_eq!(failed_cells(&Json::obj(vec![("summary", summary_json(&rows[..1]))])), 0);
     }
 }

@@ -13,17 +13,12 @@
 //! binary (`bin/simperf`) and its own JSON artifact.
 
 use crate::json::Json;
-use crate::measure::geomean;
+use crate::measure::{geomean, systems, MAX_CYCLES, SEED};
 use crate::report::Table;
-use mibench::{build, input_for, run_on, Benchmark, Built, MemoryProfile, RunResult, System};
+use mibench::{build, input_for, run_on, Benchmark, Built, MemoryProfile, RunResult};
 use msp430_sim::machine::Fr2355;
 use msp430_sim::{Engine, Frequency};
 use std::time::Instant;
-
-/// Input seed; matches the experiment harness.
-const SEED: u64 = 1;
-/// Cycle budget; matches the experiment harness.
-const MAX_CYCLES: u64 = 4_000_000_000;
 
 /// One timed benchmark × system × frequency cell.
 #[derive(Debug, Clone)]
@@ -48,14 +43,6 @@ pub struct SimPerfRow {
     pub identical: bool,
 }
 
-fn systems() -> [(&'static str, System); 3] {
-    [
-        ("baseline", System::Baseline),
-        ("block-based", System::BlockCache(blockcache::BlockConfig::unified_fr2355())),
-        ("SwapRAM", System::SwapRam(swapram::SwapConfig::unified_fr2355())),
-    ]
-}
-
 /// Runs `built` once under `engine` and returns (wall ms, result).
 fn run_once(built: &Built, freq: Frequency, input: &[u8], engine: Engine) -> (f64, RunResult) {
     let mut machine = Fr2355::machine(freq);
@@ -71,7 +58,7 @@ fn run_once(built: &Built, freq: Frequency, input: &[u8], engine: Engine) -> (f6
 /// count leaves sub-millisecond cells at the mercy of scheduler blips
 /// that barely dent a 10 ms cell, so each cell repeats until
 /// `budget_ms` of measurement has accumulated (criterion-style), with
-/// at least `min_reps` and at most [`MAX_REPS`] runs.
+/// at least `min_reps` and at most `MAX_REPS` runs.
 fn time_engine(
     built: &Built,
     freq: Frequency,

@@ -126,6 +126,19 @@ pub enum Program {
     Block(Box<BlockProgram>, BlockConfig),
 }
 
+impl Program {
+    /// The SRAM window the system's software cache fills (`None` for the
+    /// baseline, which has no cache).
+    fn cache_window(&self) -> Option<AddrRange> {
+        let (base, size) = match self {
+            Program::Base(_) => return None,
+            Program::Swap(_, cfg) => (cfg.cache_base, cfg.cache_size),
+            Program::Block(_, cfg) => (cfg.cache_base, cfg.cache_size),
+        };
+        Some(AddrRange::new(base, u32::from(base) + u32::from(size)))
+    }
+}
+
 /// Timer-interrupt wiring a build requests: the ISR vector resolved from
 /// the assembled image and a default periodic tick. [`prepare`] arms a
 /// timer with these values; experiment drivers may re-attach a custom
@@ -289,8 +302,21 @@ fn layout_for(profile: &MemoryProfile) -> LayoutConfig {
     LayoutConfig::new(profile.text_base, profile.data_base)
 }
 
-/// Checks that every emitted section lies inside a mapped memory region.
-fn check_fit(assembly: &Assembly) -> Result<(), BuildError> {
+/// Bytes of stack a build must leave between the end of its data section
+/// and the profile's `stack_top`. The deepest stack any MiBench build
+/// reaches is 26 B (aes), so 64 B leaves headroom without rejecting a
+/// build that runs correctly.
+pub const MIN_STACK_BYTES: u16 = 64;
+
+/// Checks that every emitted section lies inside a mapped memory region,
+/// that the data section leaves at least [`MIN_STACK_BYTES`] of stack
+/// below `stack_top`, and that data and stack (`[data_base, stack_top)`)
+/// stay clear of the software-cache window `cache`.
+fn check_fit(
+    assembly: &Assembly,
+    profile: &MemoryProfile,
+    cache: Option<AddrRange>,
+) -> Result<(), BuildError> {
     for (name, base, size) in &assembly.sections {
         if *size == 0 {
             continue;
@@ -301,6 +327,20 @@ fn check_fit(assembly: &Assembly) -> Result<(), BuildError> {
         if !in_sram && !in_fram {
             return Err(BuildError::DoesNotFit(format!(
                 "section `{name}` [{base:#06x}, {end:#07x}) exceeds its memory region"
+            )));
+        }
+    }
+    let (floor, top) = (stack_floor(assembly, profile), profile.stack_top);
+    if u32::from(floor) + u32::from(MIN_STACK_BYTES) > u32::from(top) {
+        return Err(BuildError::DoesNotFit(format!(
+            "data ends at {floor:#06x}, leaving less than {MIN_STACK_BYTES} B of stack below {top:#06x}"
+        )));
+    }
+    if let Some(c) = cache {
+        if u32::from(profile.data_base) < c.end && c.start < top {
+            return Err(BuildError::DoesNotFit(format!(
+                "data and stack [{:#06x}, {top:#06x}) overlap the cache window [{:#06x}, {:#07x})",
+                profile.data_base, c.start, c.end
             )));
         }
     }
@@ -354,7 +394,7 @@ pub fn build(
             (Program::Block(Box::new(p), cfg.clone()), m, h, a)
         }
     };
-    check_fit(&assembly_ref)?;
+    check_fit(&assembly_ref, profile, program.cache_window())?;
     let input_addr = assembly_ref
         .symbol("__input")
         .ok_or_else(|| BuildError::Asm(AsmError::global("benchmark lacks `__input`")))?;
@@ -482,11 +522,11 @@ fn section_range(assembly: &Assembly, name: &str) -> Option<AddrRange> {
 /// memory profile the stack grows down from `stack_top` toward the data
 /// section, so dropping below it means the stack is eating program state
 /// (and, in split-SRAM profiles, heading for the cache window).
-fn stack_floor(assembly: &Assembly, profile: &MemoryProfile) -> Option<u16> {
-    let end = section_range(assembly, "data")
-        .map_or(u32::from(profile.data_base), |r| r.end)
-        .min(0xFFFF) as u16;
-    (profile.stack_top > end).then_some(end)
+/// [`check_fit`] rejects every build whose floor is not at least
+/// [`MIN_STACK_BYTES`] below `stack_top`.
+fn stack_floor(assembly: &Assembly, profile: &MemoryProfile) -> u16 {
+    let end = section_range(assembly, "data").map_or(u32::from(profile.data_base), |r| r.end);
+    end.min(0xFFFF) as u16
 }
 
 /// Builds the execution-sanitizer watchpoint configuration for a built
@@ -500,39 +540,29 @@ fn stack_floor(assembly: &Assembly, profile: &MemoryProfile) -> Option<u16> {
 /// Returns `None` for the baseline: nothing moves code or metadata at
 /// runtime, so there is nothing to watch.
 pub fn sanitizer_for(built: &Built) -> Option<SanitizerConfig> {
-    let (assembly, cache, tables, store_allow) = match &built.program {
+    let cache = built.program.cache_window()?;
+    let (assembly, tables, store_allow) = match &built.program {
         Program::Base(_) => return None,
-        Program::Swap(inst, cfg) => {
-            let cache = AddrRange::new(
-                cfg.cache_base,
-                u32::from(cfg.cache_base) + u32::from(cfg.cache_size),
-            );
+        Program::Swap(inst, _) => {
             let mut allow = vec![inst.fid_addr];
             allow.extend(inst.funcs.iter().map(|f| f.act_addr));
             // Masked-protocol ISR veneers save/restore the funcId word
             // through per-root slots in the metadata tables.
             allow.extend(inst.isr_slots.iter().map(|(_, addr)| *addr));
             let tables = section_range(&inst.assembly, swapram::tables::TABLES_SECTION);
-            (&inst.assembly, cache, tables, allow)
+            (&inst.assembly, tables, allow)
         }
-        Program::Block(prog, cfg) => {
-            let cache = AddrRange::new(
-                cfg.cache_base,
-                u32::from(cfg.cache_base) + u32::from(cfg.cache_size),
-            );
+        Program::Block(prog, _) => {
             let tables = section_range(&prog.assembly, bbpass::TABLES_SECTION);
-            (&prog.assembly, cache, tables, vec![prog.cur_addr])
+            (&prog.assembly, tables, vec![prog.cur_addr])
         }
     };
     let text = section_range(assembly, "text");
     // Multi-task benchmarks park task 1's stack inside the data section
     // (a statically allocated stack + context frame), so the single-stack
     // floor does not apply to them.
-    let stack_limit = if built.bench.is_multitask() {
-        None
-    } else {
-        stack_floor(assembly, &built.profile)
-    };
+    let stack_limit =
+        (!built.bench.is_multitask()).then(|| stack_floor(assembly, &built.profile));
     Some(SanitizerConfig {
         exec: text.iter().copied().chain([cache]).collect(),
         tracked: Some(cache),
@@ -620,6 +650,48 @@ mod tests {
         };
         let err = build(Benchmark::Lzfx, &System::Baseline, &profile).unwrap_err();
         assert!(matches!(err, BuildError::DoesNotFit(_)), "{err}");
+    }
+
+    /// Under a 1 KiB split-SRAM partition stringsearch's 2.6 KiB of data
+    /// would run through the stack (top 0x23FC) into the cache window:
+    /// DNF under every system, while dijkstra still fits. A cache window
+    /// over the partition is DNF too. Every single-task build that fits
+    /// keeps a stack floor at least [`MIN_STACK_BYTES`] below
+    /// `stack_top`.
+    #[test]
+    fn split_sram_data_must_leave_room_for_the_stack() {
+        let split = MemoryProfile::split_sram(0x400);
+        let (swap, block) =
+            (swapram::SwapConfig::split_fr2355(0x400), BlockConfig::split_fr2355(0x400));
+        let systems =
+            [System::Baseline, System::SwapRam(swap.clone()), System::BlockCache(block.clone())];
+        for system in systems {
+            let err = build(Benchmark::Stringsearch, &system, &split).unwrap_err();
+            assert!(matches!(err, BuildError::DoesNotFit(_)), "{}: {err}", system.label());
+            build(Benchmark::Dijkstra, &system, &split)
+                .unwrap_or_else(|e| panic!("dijkstra/{}: {e}", system.label()));
+        }
+        // A cache window over the data partition is DNF even when the
+        // stack fits.
+        let whole_sram = System::SwapRam(swapram::SwapConfig::unified_fr2355());
+        let err = build(Benchmark::Crc, &whole_sram, &split).unwrap_err();
+        assert!(matches!(err, BuildError::DoesNotFit(_)), "{err}");
+
+        let unified = MemoryProfile::unified();
+        let sanitized = [
+            (System::SwapRam(swapram::SwapConfig::unified_fr2355()), unified),
+            (System::BlockCache(BlockConfig::unified_fr2355()), unified),
+            (System::SwapRam(swap), split),
+            (System::BlockCache(block), split),
+        ];
+        for bench in Benchmark::MIBENCH {
+            for (system, profile) in &sanitized {
+                let Ok(built) = build(bench, system, profile) else { continue };
+                let limit = sanitizer_for(&built).and_then(|c| c.stack_limit);
+                let limit = limit.unwrap_or_else(|| panic!("{}: no stack limit", bench.name()));
+                assert!(limit + MIN_STACK_BYTES <= profile.stack_top, "{}", bench.name());
+            }
+        }
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Pre-decoded basic-block dispatch engine.
 //!
 //! [`BlockEngine`] caches [`crate::decode::Block`]s keyed by physical
-//! address and executes one instruction per [`BlockEngine::step`] call —
-//! the same granularity as the interpreter, so [`crate::machine::Machine`]
-//! keeps polling faults, sanitizer violations and the cycle budget at
-//! identical points — while eliminating the per-step fetch/decode work and
-//! dispatching precomputed cycle/category/accounting plans instead.
-//! [`BlockEngine::step_batched`] executes whole blocks per call and chains
-//! from each block into the next along the executed control flow, with the
-//! run loop's checks replicated inline, eliminating the per-instruction
-//! dispatch overhead too. A batch returns to the run loop only where the
-//! loop has work to do: an inline poll trips, the PC reaches the trap
-//! window, a `reti` retires, no block can be built, or the next block could
-//! reach the budget, the next fault event or the next timer fire. The
-//! machine single-steps only with a profiler or a latched interrupt.
+//! address and dispatches their precomputed cycle/category/accounting
+//! plans instead of re-fetching and re-decoding every instruction.
+//! [`BlockEngine::step`] is its one stepping method: it executes
+//! instructions from the current PC until the run loop
+//! ([`crate::machine::Machine::run`]) has work to do, chaining from each
+//! block into the next along the executed control flow with the loop's
+//! checks replicated inline. A call returns when an inline poll trips,
+//! the PC reaches the trap window, a `reti` retires, no block can be
+//! built, or the cycle count reaches its `limit` (the budget, the next
+//! fault event or the next timer fire). A `limit` of 0 runs exactly one
+//! instruction, which is how the machine single-steps (with a profiler
+//! attached or an interrupt latched).
 //!
 //! # Invalidation contract
 //!
@@ -27,10 +26,10 @@
 //! * Every store into a watched granule — CPU stores, host-side pokes,
 //!   image loads, injected bit flips, and the SRAM clear of a power cycle
 //!   — is recorded with its address range and bumps a generation counter.
-//! * At the top of every `step`, a changed generation triggers a drain:
-//!   exactly the blocks whose `[start, end)` overlaps a recorded write are
-//!   dropped. An unchanged generation (the overwhelmingly common case) is
-//!   one integer compare.
+//! * At the top of every [`BlockEngine::step`] call, a changed generation
+//!   triggers a drain: exactly the blocks whose `[start, end)` overlaps a
+//!   recorded write are dropped. An unchanged generation (the
+//!   overwhelmingly common case) is one integer compare.
 //!
 //! Two events invalidate wholesale rather than precisely: a machine
 //! [`crate::machine::Machine::power_cycle`] (volatile state is gone and
@@ -136,66 +135,13 @@ impl BlockEngine {
         self.seen_epoch = bus.sanitizer_epoch();
     }
 
-    /// Executes one instruction at the CPU's current PC, byte-identical in
-    /// observable behaviour to [`Cpu::step`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly the conditions under which the interpreter errors, with the
-    /// same partial state (PC advanced past the fetch, fetch accounting
-    /// charged, instruction/cycle counts not).
-    pub fn step(&mut self, cpu: &mut Cpu, bus: &mut Bus) -> SimResult<()> {
-        if bus.sanitizer_epoch() != self.seen_epoch {
-            self.reset(bus);
-        }
-        if bus.code_watch_gen() != self.seen_gen {
-            self.drain(bus);
-        }
-        let pc = cpu.pc();
-        let (slot, idx) = match self.cursor {
-            Some((slot, idx))
-                if self.arena[slot as usize]
-                    .as_ref()
-                    .is_some_and(|b| idx < b.instrs.len() && b.instrs[idx].pc == pc) =>
-            {
-                (slot, idx)
-            }
-            _ => {
-                let s = self.starts[usize::from(pc)];
-                if s != NO_BLOCK {
-                    (s - 1, 0)
-                } else if let Some(slot) = self.build_at(bus, pc) {
-                    (slot, 0)
-                } else {
-                    self.cursor = None;
-                    self.delegated += 1;
-                    cpu.step(bus)?;
-                    return Ok(());
-                }
-            }
-        };
-        let block = self.arena[slot as usize].as_ref().expect("validated slot");
-        let di = &block.instrs[idx];
-        let len = block.instrs.len();
-        match exec_one(cpu, bus, di) {
-            Ok(()) => {
-                self.cursor = if cpu.pc() == di.next_pc && idx + 1 < len {
-                    Some((slot, idx + 1))
-                } else {
-                    None
-                };
-                Ok(())
-            }
-            Err(e) => {
-                self.cursor = None;
-                Err(e)
-            }
-        }
-    }
-
     /// Executes instructions from the current PC for as long as
     /// [`crate::machine::Machine::run`]'s polling permits, following
-    /// control flow from block to block, then returns.
+    /// control flow from block to block, then returns. Every call
+    /// executes at least one instruction, and a `limit` the cycle count
+    /// has already reached (0 in particular) runs exactly one: the
+    /// single step, with observable behaviour byte-identical to
+    /// [`Cpu::step`].
     ///
     /// `limit` is the smallest of the cycle budget, the next fault event
     /// and the next timer fire, so no scheduled event can become due
@@ -209,7 +155,9 @@ impl BlockEngine {
     /// per-instruction stepping would have. The barrier check additionally
     /// stops the batch when an instruction stores into watched code, so a
     /// self-modified block never executes stale successors (the next call
-    /// drains it, same as [`BlockEngine::step`]).
+    /// drains it). A call that stops inside a block leaves a cursor on the
+    /// next instruction, so the next call resumes there without a block
+    /// lookup.
     ///
     /// When a block runs to its end, the batch chains into the block at the
     /// new PC, looked up or built as on entry, unless
@@ -230,10 +178,11 @@ impl BlockEngine {
     ///
     /// # Errors
     ///
-    /// As [`BlockEngine::step`]: identical conditions and partial state to
-    /// the interpreter, with every fully-executed prior instruction's
-    /// effects committed.
-    pub fn step_batched(&mut self, cpu: &mut Cpu, bus: &mut Bus, limit: u64) -> SimResult<()> {
+    /// Exactly the conditions under which the interpreter errors, with the
+    /// same partial state (PC advanced past the fetch, fetch accounting
+    /// charged, instruction/cycle counts not) and every fully-executed
+    /// prior instruction's effects committed.
+    pub fn step(&mut self, cpu: &mut Cpu, bus: &mut Bus, limit: u64) -> SimResult<()> {
         if bus.sanitizer_epoch() != self.seen_epoch {
             self.reset(bus);
         }
@@ -289,7 +238,7 @@ impl BlockEngine {
                         let n = usize::from(rp.len);
                         match first.plan {
                             Plan::SramPure => bus.add_sram_ifetch(u64::from(rp.words)),
-                            _ => bus.account_fram_ifetch_run(first.pc, rp.words),
+                            _ => bus.account_fram_ifetch::<false>(first.pc, rp.words),
                         }
                         bus.stats_mut().contention_cycles += u64::from(rp.contention);
                         bus.charge_batch(first.cat, n as u64, u64::from(rp.unstalled));
@@ -514,7 +463,7 @@ fn exec_one(cpu: &mut Cpu, bus: &mut Bus, di: &crate::decode::DecodedInstr) -> S
         }
         Plan::FramFast => {
             bus.begin_instruction();
-            bus.account_fram_ifetch_words(di.pc, di.words);
+            bus.account_fram_ifetch::<true>(di.pc, u16::from(di.words));
             cpu.set_pc(di.next_pc);
             exec_lowered(cpu, bus, di)?;
             bus.charge_instr(di.cat, di.cycles);
@@ -578,7 +527,8 @@ mod tests {
     }
 
     /// Interpreter and engine agree on a simple straight-line program,
-    /// including every statistic.
+    /// including every statistic, when the engine steps with limit 0: one
+    /// instruction per call, resuming mid-block through the cursor.
     #[test]
     fn engine_matches_interpreter_stats() {
         let prog = [
@@ -599,11 +549,12 @@ mod tests {
         ];
         let (mut c1, mut b1, mut eng) = setup(&prog, 0x4000);
         let (mut c2, mut b2, _) = setup(&prog, 0x4000);
-        for _ in 0..prog.len() {
-            eng.step(&mut c1, &mut b1).unwrap();
+        for n in 1..=prog.len() as u64 {
+            eng.step(&mut c1, &mut b1, 0).unwrap();
             c2.step(&mut b2).unwrap();
+            assert_eq!(retired(&b1), n, "limit 0 runs exactly one instruction");
+            assert_eq!(b1.stats(), b2.stats());
         }
-        assert_eq!(b1.stats(), b2.stats());
         assert_eq!(c1.pc(), c2.pc());
         assert_eq!(c1.reg(Reg::R13), c2.reg(Reg::R13));
         assert_eq!(b1.peek_word(0x2100), b2.peek_word(0x2100));
@@ -638,8 +589,8 @@ mod tests {
         let (mut c1, mut b1, mut eng) = setup(&prog, 0x4000);
         // Warm the cache over both instructions, then rewind and re-run.
         let entry_invalidated = eng.blocks_invalidated();
-        eng.step(&mut c1, &mut b1).unwrap(); // performs the store
-        eng.step(&mut c1, &mut b1).unwrap(); // must execute the NEW word
+        eng.step(&mut c1, &mut b1, 0).unwrap(); // performs the store
+        eng.step(&mut c1, &mut b1, 0).unwrap(); // must execute the NEW word
         assert_eq!(c1.reg(Reg::R14), 8, "rewritten instruction must execute");
         assert!(eng.blocks_invalidated() > entry_invalidated);
     }
@@ -650,7 +601,7 @@ mod tests {
     fn undecodable_pc_delegates_with_identical_error() {
         let (mut c1, mut b1, mut eng) = setup(&[], 0x0000); // unmapped
         let (mut c2, mut b2, _) = setup(&[], 0x0000);
-        let e1 = eng.step(&mut c1, &mut b1).unwrap_err();
+        let e1 = eng.step(&mut c1, &mut b1, 0).unwrap_err();
         let e2 = c2.step(&mut b2).unwrap_err();
         assert_eq!(e1, e2);
         assert!(eng.delegated() >= 1);
@@ -661,14 +612,14 @@ mod tests {
     fn flip_bit_in_cached_block_invalidates() {
         let prog = [mov_imm(1, Reg::R12), mov_imm(2, Reg::R13)];
         let (mut c1, mut b1, mut eng) = setup(&prog, 0x4000);
-        eng.step(&mut c1, &mut b1).unwrap();
+        eng.step(&mut c1, &mut b1, 0).unwrap();
         assert!(eng.blocks_built() >= 1);
         // Flip a bit inside the block's second instruction (both MOVs use
         // constant-generator immediates, so they are one word each).
         b1.flip_bit(0x4002, 0);
         let inv = eng.blocks_invalidated();
         c1.set_pc(0x4000);
-        eng.step(&mut c1, &mut b1).unwrap();
+        eng.step(&mut c1, &mut b1, 0).unwrap();
         assert!(eng.blocks_invalidated() > inv, "flip must invalidate the block");
     }
 
@@ -737,7 +688,7 @@ mod tests {
             (0x4006, vec![mov_imm(4, Reg::R14), branch(0x0F00)]),
         ];
         let (mut c1, mut b1, mut eng) = load(MemoryMap::fr2355(), &prog);
-        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        eng.step(&mut c1, &mut b1, LIMIT).unwrap();
         assert_eq!(c1.reg(Reg::R14), 4, "the second block ran in the same call");
         assert_eq!(c1.reg(Reg::R13), 0, "the jumped-over word did not");
         assert_eq!(eng.blocks_built(), 2);
@@ -762,7 +713,7 @@ mod tests {
             ),
         ];
         let (mut c1, mut b1, mut eng) = load(map, &prog);
-        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        eng.step(&mut c1, &mut b1, LIMIT).unwrap();
         assert_eq!(c1.pc(), 0x4100);
         assert_eq!(c1.reg(Reg::R15), 0, "nothing in the trap window executed");
         assert_eq!((eng.blocks_built(), eng.delegated()), (1, 0));
@@ -793,11 +744,11 @@ mod tests {
         let (mut c2, mut b2, _) = load(MemoryMap::fr2355(), &prog);
         frame(&mut c1, &mut b1);
         frame(&mut c2, &mut b2);
-        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        eng.step(&mut c1, &mut b1, LIMIT).unwrap();
         assert_eq!((c1.pc(), c1.sp(), c1.reg(Reg::R13)), (0x4010, 0x3000, 0));
         assert!(b1.take_reti());
         assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
-        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        eng.step(&mut c1, &mut b1, LIMIT).unwrap();
         assert_eq!((c1.pc(), c1.reg(Reg::R13)), (0x0F00, 2));
         assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
     }
@@ -831,12 +782,12 @@ mod tests {
             "block B could reach the limit"
         );
 
-        eng.step_batched(&mut c1, &mut b1, limit).unwrap();
+        eng.step(&mut c1, &mut b1, limit).unwrap();
         assert_eq!(c1.pc(), 0x4010, "stopped at block B's start");
         assert_eq!(b1.stats().total_cycles(), cycles_a);
         assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
 
-        eng.step_batched(&mut c1, &mut b1, limit).unwrap();
+        eng.step(&mut c1, &mut b1, limit).unwrap();
         while b2.stats().total_cycles() < limit {
             c2.step(&mut b2).unwrap();
         }
@@ -889,7 +840,7 @@ mod tests {
         let (mut c2, mut b2, _) = load(MemoryMap::fr2355(), &prog);
         c1.set_reg(Reg::R15, 0xFFFE);
         c2.set_reg(Reg::R15, 0xFFFE);
-        eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+        eng.step(&mut c1, &mut b1, LIMIT).unwrap();
         assert_eq!(
             c1.pc(),
             0x401C,
@@ -898,7 +849,7 @@ mod tests {
         assert_interp_agrees(&c1, &b1, &mut c2, &mut b2);
         let mut calls = 0;
         while c1.pc() != 0x0F00 {
-            eng.step_batched(&mut c1, &mut b1, LIMIT).unwrap();
+            eng.step(&mut c1, &mut b1, LIMIT).unwrap();
             calls += 1;
             assert!(calls < 8, "runaway");
         }

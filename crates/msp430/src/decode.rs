@@ -44,7 +44,7 @@ pub enum Plan {
     /// FRAM text with elided sanitizer checks: each word still charges
     /// the stateful hardware-cache/wait/contention model per access.
     FramFast,
-    /// Full per-word replay through [`Bus::account_ifetch`] — used when
+    /// Full per-word replay through `Bus::account_ifetch` — used when
     /// the sanitizer must observe each fetch (e.g. tracked SRAM bytes not
     /// yet proven filled).
     Replay,
@@ -84,8 +84,8 @@ pub enum DstPlan {
 }
 
 /// Pre-lowered execution dispatch: the operand-shape matching that the
-/// generic path ([`crate::cpu::Cpu::exec_decoded`]) performs per execution
-/// is done once at decode time, and dispatch goes straight to a flattened
+/// generic path (`Cpu::exec_decoded`) performs per execution is done
+/// once at decode time, and dispatch goes straight to a flattened
 /// executor. Every lowered path shares the interpreter's ALU/flag cores
 /// ([`crate::cpu::Cpu`]'s `alu_format_i`, `rotate_core`, `sxt_core`,
 /// `jump_taken`), so the semantics cannot diverge; only operand-location
@@ -132,7 +132,7 @@ pub struct DecodedInstr {
     /// Execution dispatch (see [`ExecPlan`]).
     pub exec: ExecPlan,
     /// Whether the batched engine must run the full per-instruction poll
-    /// set after executing this instruction (see [`needs_poll`]; every
+    /// set after executing this instruction (see `needs_poll`; every
     /// [`Plan::Replay`] fetch polls too): false for instructions that
     /// provably cannot store, halt, move SP, or latch a violation — those
     /// only need the cycle-budget check.
@@ -142,7 +142,7 @@ pub struct DecodedInstr {
     /// not batchable); filled by [`build_block`].
     pub run: RunPlan,
     /// Safe upper bound on the cycles executing this instruction and the
-    /// rest of its block can add to the statistics (see [`worst_cycles`]);
+    /// rest of its block can add to the statistics (see `worst_cycles`);
     /// filled by [`build_block`]. When the cycles left before the batch's
     /// limit (budget, next fault event, next timer fire) exceed this
     /// bound, the batched engine can execute to the end of the block
@@ -173,7 +173,7 @@ pub struct Block {
 /// sanitizer replay. Everything the run charges to the statistics except
 /// the hardware cache's hit/miss split is a pure function of the
 /// instruction bytes, so it is summed here once at decode time; see
-/// [`crate::blocks::BlockEngine::step_batched`] for how the cache
+/// [`crate::blocks::BlockEngine::step`] for how the cache
 /// split itself collapses to one probe per distinct line.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPlan {

@@ -6,7 +6,7 @@
 //! words) becomes a wild-jump hazard on the next boot. This module models
 //! the adversary: a [`FaultPlan`] is a cycle-ordered schedule of
 //! [`FaultEvent`]s, either generated explicitly or drawn from the seeded
-//! [`SplitMix64`](crate::rng::SplitMix64) generator so every fault run is
+//! [`SplitMix64`] generator so every fault run is
 //! reproducible by construction.
 //!
 //! The plan attaches to a [`Machine`](crate::machine::Machine); events

@@ -361,34 +361,7 @@ impl Machine {
     /// Propagates CPU/bus errors; reaching the trap window with no hook
     /// attached is a [`SimError::Hook`] error.
     pub fn step(&mut self) -> SimResult<Option<u16>> {
-        let pc = self.cpu.pc();
-        if self.bus.map().trap.contains(pc) {
-            let mut hook = self
-                .hook
-                .take()
-                .ok_or_else(|| SimError::Hook(format!("trap at 0x{pc:04x} with no hook")))?;
-            // The runtime is trusted: suppress sanitizer watchpoints while
-            // it fills cache slots and rewrites its metadata.
-            self.bus.set_runtime_mode(true);
-            let action = hook.on_trap(&mut self.cpu, &mut self.bus, pc);
-            self.bus.set_runtime_mode(false);
-            self.hook = Some(hook);
-            match action? {
-                TrapAction::Resume => {}
-                TrapAction::Halt(code) => return Ok(Some(code)),
-            }
-        } else {
-            if let Some(p) = &mut self.profiler {
-                p.record(pc, self.bus.map().region_of(pc));
-            }
-            match &mut self.engine {
-                Some(e) => e.step(&mut self.cpu, &mut self.bus)?,
-                None => {
-                    self.cpu.step(&mut self.bus)?;
-                }
-            }
-        }
-        Ok(self.bus.ports().halt_code())
+        self.step_to(0)
     }
 
     /// Runs until the program halts or `max_cycles` total cycles elapse.
@@ -397,24 +370,22 @@ impl Machine {
     ///
     /// Propagates simulation errors from [`Machine::step`].
     pub fn run(&mut self, max_cycles: u64) -> SimResult<RunOutcome> {
-        // Batches are bounded by the budget, the next fault event and the
-        // next timer fire, and single-step only with a profiler or a
-        // latched interrupt. The pre-decoded engine chains a batch from
-        // block to block, stops it on the exact boundary where the bound
-        // is reached and replicates this loop's other checks inline (see
-        // [`BlockEngine::step_batched`]), so faults fire and fires latch
-        // where per-instruction stepping would put them; it also returns
-        // at every `reti` and trap-window PC, which this loop handles. A
-        // profiler records every PC, and a latched interrupt's delivery
-        // depends on `GIE` and the trap window at every boundary.
+        // Each step runs up to `limit`: the budget, the next fault event or
+        // the next timer fire, whichever comes first. The pre-decoded
+        // engine chains a batch from block to block, stops it on the exact
+        // boundary where `limit` is reached and replicates this loop's
+        // other checks inline (see [`BlockEngine::step`]), so faults fire
+        // and fires latch where per-instruction stepping would put them;
+        // it also returns at every `reti` and trap-window PC, which this
+        // loop handles. With a profiler attached or an interrupt latched
+        // the limit is 0, one instruction per step: a profiler records
+        // every PC, and a latched interrupt's delivery depends on `GIE`
+        // and the trap window at every boundary.
         let irq = self.bus.timer().is_some();
         let mut limit = self.batch_limit(max_cycles);
         let exit = loop {
-            let stepped = if self.profiler.is_none() && !self.bus.irq_pending() {
-                self.step_batch(limit)
-            } else {
-                self.step()
-            };
+            let single = self.profiler.is_some() || self.bus.irq_pending();
+            let stepped = self.step_to(if single { 0 } else { limit });
             // A latched sanitizer violation wins over whatever the wild
             // instruction did — including the bus fault it may have died
             // on — so misexecution surfaces as one typed exit.
@@ -514,22 +485,38 @@ impl Machine {
         max_cycles.min(fault.unwrap_or(u64::MAX)).min(fire.unwrap_or(u64::MAX))
     }
 
-    /// Like [`Machine::step`], but lets the pre-decoded engine execute a
-    /// batch that chains across blocks until one of its stop rules
-    /// (an inline poll, `reti`, the trap window, the approach of `limit`;
-    /// see [`BlockEngine::step_batched`]) returns to the polling loop.
-    /// Only called from [`Machine::run`] when no profiler is attached and
-    /// no interrupt is latched, with `limit` from
-    /// [`Machine::batch_limit`] (so per-instruction polling is
-    /// unobservable).
-    fn step_batch(&mut self, limit: u64) -> SimResult<Option<u16>> {
-        if self.bus.map().trap.contains(self.cpu.pc()) {
-            return self.step();
-        }
-        match &mut self.engine {
-            Some(e) => e.step_batched(&mut self.cpu, &mut self.bus, limit)?,
-            None => {
-                self.cpu.step(&mut self.bus)?;
+    /// The one stepping function: services one trap, or executes
+    /// instructions until the pre-decoded engine's stop rules return to
+    /// the polling loop (an inline poll, `reti`, the trap window, the
+    /// approach of `limit`; see [`BlockEngine::step`]). A `limit` of 0
+    /// executes one instruction; the interpreter always executes one.
+    ///
+    /// Returns `Some(code)` if the machine halted.
+    fn step_to(&mut self, limit: u64) -> SimResult<Option<u16>> {
+        let pc = self.cpu.pc();
+        if self.bus.map().trap.contains(pc) {
+            let mut hook = self
+                .hook
+                .take()
+                .ok_or_else(|| SimError::Hook(format!("trap at 0x{pc:04x} with no hook")))?;
+            // The runtime is trusted: suppress sanitizer watchpoints while
+            // it fills cache slots and rewrites its metadata.
+            self.bus.set_runtime_mode(true);
+            let action = hook.on_trap(&mut self.cpu, &mut self.bus, pc);
+            self.bus.set_runtime_mode(false);
+            self.hook = Some(hook);
+            if let TrapAction::Halt(code) = action? {
+                return Ok(Some(code));
+            }
+        } else {
+            if let Some(p) = &mut self.profiler {
+                p.record(pc, self.bus.map().region_of(pc));
+            }
+            match &mut self.engine {
+                Some(e) => e.step(&mut self.cpu, &mut self.bus, limit)?,
+                None => {
+                    self.cpu.step(&mut self.bus)?;
+                }
             }
         }
         Ok(self.bus.ports().halt_code())

@@ -1035,110 +1035,44 @@ impl Bus {
         self.stats.unstalled_cycles += cycles;
     }
 
-    /// FRAM instruction-fetch accounting for one decoded instruction's
-    /// `words` contiguous fetch words at `pc`, with the sanitizer check
-    /// elided — equivalent to `words` calls of
-    /// [`Bus::account_fram_ifetch`] at consecutive addresses. The fetch
-    /// words are accessed back-to-back before execution, so a repeat
-    /// access to the line just probed is a guaranteed hit (a hit cannot
-    /// evict); the cache is probed once per distinct line and the rest
-    /// counted statically. Contention lines are still recorded per
-    /// distinct line (execution may touch more lines afterwards).
-    #[inline]
-    pub(crate) fn account_fram_ifetch_words(&mut self, pc: u16, words: u8) {
-        self.stats.fram_ifetch += u64::from(words);
-        let words = u16::from(words);
-        // The fetch words are contiguous and increasing, so the distinct
-        // lines they touch are exactly the contiguous line range
-        // `[line_of(pc), line_of(pc + 2*(words-1))]` — no per-word dedup
-        // loop needed. Fetches that wrap the address space take the slow
-        // path.
-        let end = u32::from(pc) + 2 * (u32::from(words) - 1);
-        if end > 0xFFFF {
-            return self.account_fram_ifetch_wrapped(pc, words);
-        }
-        let first = self.cache.line_of(pc);
-        let last = self.cache.line_of(end as u16);
-        let lines = u64::from(last - first) + 1;
-        for line in first..=last {
-            self.instr_lines.insert(line);
-            if self.cache.access_line(line) {
-                self.stats.hw_cache_hits += 1;
-            } else {
-                self.stats.hw_cache_misses += 1;
-                self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
-            }
-        }
-        let rest = u64::from(words) - lines;
-        if self.cache.is_enabled() {
-            self.stats.hw_cache_hits += rest;
-        } else {
-            // A disabled cache misses every access (with no state touched).
-            self.stats.hw_cache_misses += rest;
-            self.stats.wait_cycles += rest * u64::from(self.freq.fram_wait_cycles);
-        }
-    }
-
-    /// Batched FRAM instruction-fetch accounting for the contiguous word
-    /// range `[start, start + 2*words)` of a pure straight-line run.
+    /// FRAM instruction-fetch accounting for the contiguous word range
+    /// `[start, start + 2*words)` — one decoded instruction's fetch words,
+    /// or a whole pure straight-line run — with the sanitizer check
+    /// elided: equivalent to the per-word FRAM accounting of
+    /// [`Bus::account_ifetch`] at consecutive addresses.
     ///
-    /// Within such a run nothing but these monotonically increasing
-    /// fetches touches the cache, so every repeat access to the line most
-    /// recently probed is a guaranteed hit (a hit cannot evict): the cache
-    /// is probed once per distinct line and the remaining word accesses
-    /// are counted as hits statically. Skipping their LRU stamp updates is
-    /// unobservable — consecutive same-line accesses leave the recency
-    /// *order* of lines unchanged. A disabled cache misses every access
-    /// without touching state, applied statically too. Same-instruction
-    /// line contention is not charged here; the caller adds the
-    /// statically-known spans (see [`crate::decode::RunPlan`]).
-    pub(crate) fn account_fram_ifetch_run(&mut self, start: u16, words: u16) {
+    /// The words are fetched back-to-back with nothing else touching the
+    /// cache in between, so every repeat access to the line just probed
+    /// is a guaranteed hit (a hit cannot evict): the cache is probed once
+    /// per distinct line, in the order the per-word walk would have, and
+    /// the remaining words are counted statically. Skipping their LRU
+    /// stamp updates is unobservable — consecutive same-line accesses
+    /// leave the recency *order* of lines unchanged. A disabled cache
+    /// misses every access without touching state.
+    ///
+    /// `TRACK_LINES` adds the probed lines to the current instruction's
+    /// contention set (one instruction, whose execution may touch more
+    /// lines); a run leaves it off, since its caller charges the
+    /// statically-known same-instruction spans (see
+    /// [`crate::decode::RunPlan`]).
+    ///
+    /// Decoded fetches never wrap the address space: decoding rejects a
+    /// fetch word at or past `0x1_0000`, and a block, hence a run, ends at
+    /// the wrap.
+    #[inline]
+    pub(crate) fn account_fram_ifetch<const TRACK_LINES: bool>(&mut self, start: u16, words: u16) {
+        debug_assert!(
+            words > 0 && u32::from(start) + 2 * u32::from(words) <= 0x1_0000,
+            "decoded fetch range wraps or is empty"
+        );
         self.stats.fram_ifetch += u64::from(words);
-        if !self.cache.is_enabled() {
-            self.stats.hw_cache_misses += u64::from(words);
-            self.stats.wait_cycles +=
-                u64::from(words) * u64::from(self.freq.fram_wait_cycles);
-            return;
-        }
-        if words == 0 {
-            return;
-        }
-        // As in `account_fram_ifetch_words`: contiguous increasing fetches
-        // touch exactly the contiguous line range, probed in the same
-        // order the per-word walk would have.
-        let end = u32::from(start) + 2 * (u32::from(words) - 1);
-        if end > 0xFFFF {
-            return self.account_fram_ifetch_run_wrapped(start, words);
-        }
         let first = self.cache.line_of(start);
-        let last = self.cache.line_of(end as u16);
+        let last = self.cache.line_of(start + 2 * (words - 1));
         let lines = u64::from(last - first) + 1;
         for line in first..=last {
-            if self.cache.access_line(line) {
-                self.stats.hw_cache_hits += 1;
-            } else {
-                self.stats.hw_cache_misses += 1;
-                self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
+            if TRACK_LINES {
+                self.instr_lines.insert(line);
             }
-        }
-        self.stats.hw_cache_hits += u64::from(words) - lines;
-    }
-
-    /// Slow path of [`Bus::account_fram_ifetch_words`] for the rare fetch
-    /// range that wraps the 16-bit address space.
-    #[cold]
-    fn account_fram_ifetch_wrapped(&mut self, pc: u16, words: u16) {
-        let mut lines = 0u64;
-        let mut prev = u32::MAX;
-        for i in 0..words {
-            let addr = pc.wrapping_add(2 * i);
-            let line = self.cache.line_of(addr);
-            if line == prev {
-                continue;
-            }
-            prev = line;
-            lines += 1;
-            self.instr_lines.insert(line);
             if self.cache.access_line(line) {
                 self.stats.hw_cache_hits += 1;
             } else {
@@ -1153,29 +1087,6 @@ impl Bus {
             self.stats.hw_cache_misses += rest;
             self.stats.wait_cycles += rest * u64::from(self.freq.fram_wait_cycles);
         }
-    }
-
-    /// Slow path of [`Bus::account_fram_ifetch_run`] for the rare run that
-    /// wraps the 16-bit address space.
-    #[cold]
-    fn account_fram_ifetch_run_wrapped(&mut self, start: u16, words: u16) {
-        let mut lines = 0u64;
-        let mut prev = u32::MAX;
-        for i in 0..words {
-            let addr = start.wrapping_add(2 * i);
-            let line = self.cache.line_of(addr);
-            if line != prev {
-                prev = line;
-                lines += 1;
-                if self.cache.access_line(line) {
-                    self.stats.hw_cache_hits += 1;
-                } else {
-                    self.stats.hw_cache_misses += 1;
-                    self.stats.wait_cycles += u64::from(self.freq.fram_wait_cycles);
-                }
-            }
-        }
-        self.stats.hw_cache_hits += u64::from(words) - lines;
     }
 }
 

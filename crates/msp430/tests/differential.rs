@@ -19,6 +19,10 @@
 //!   `STATS_EVERY` steps, so any future divergence is localised to the
 //!   instruction that introduced it instead of surfacing as a checksum
 //!   mismatch millions of cycles later.
+//! - **Profiled runs**: an attached [`Profiler`] makes `Machine::run`
+//!   single-step (the pre-decoded engine with limit 0), the route of the
+//!   profile-guided ablation; for three benchmark × system pairs both
+//!   engines must agree on the [`RunResult`] and on the profile itself.
 //! - **Schedule boundaries**: the pre-decoded engine batches straight-line
 //!   runs up to the next fault event or timer fire, so one scheduled
 //!   event — a power loss, a bit flip into cached code, a one-shot timer
@@ -30,6 +34,7 @@
 use mibench::{build, input_for, prepare, run_on, Benchmark, Built, MemoryProfile, RunResult, System};
 use msp430_sim::cpu::FLAG_GIE;
 use msp430_sim::machine::Fr2355;
+use msp430_sim::profile::Profiler;
 use msp430_sim::rng::SplitMix64;
 use msp430_sim::{
     Engine, ExitReason, FaultEvent, FaultKind, FaultPlan, Frequency, IrqSchedule, IrqTimer,
@@ -208,6 +213,47 @@ fn lockstep_stringsearch_swapram() {
         &System::SwapRam(swapram::SwapConfig::unified_fr2355()),
         Frequency::MHZ_24,
     );
+}
+
+/// Runs `bench` under `system` at 24 MHz under both engines with a
+/// profiler over every function span plus the SRAM cache window, and
+/// asserts identical results and profiles.
+fn profiled(bench: Benchmark, system: &System) {
+    let built = build(bench, system, &MemoryProfile::unified())
+        .unwrap_or_else(|e| panic!("{} fails to build: {e:?}", bench.name()));
+    let assembly = match &built.program {
+        mibench::Program::Base(a) => a,
+        mibench::Program::Swap(i, _) => &i.assembly,
+        mibench::Program::Block(p, _) => &p.assembly,
+    };
+    let mut spans: Vec<(String, u16, u16)> =
+        assembly.functions.iter().map(|f| (f.name.clone(), f.start, f.end)).collect();
+    spans.push(("<sram>".to_string(), 0x2000, 0x3000));
+    let input = input_for(bench, SEED);
+    let run = |engine: Engine| {
+        let mut m = Fr2355::machine(Frequency::MHZ_24);
+        m.set_engine(engine);
+        m.attach_profiler(Profiler::new(spans.clone()));
+        let result = run_on(&mut m, &built, &input, MAX_CYCLES)
+            .unwrap_or_else(|e| panic!("{} under {engine:?} died: {e:?}", bench.name()));
+        (result, m.profiler().expect("profiler attached").report())
+    };
+    let (interp, interp_profile) = run(Engine::Interp);
+    let (pre, pre_profile) = run(Engine::Predecoded);
+    let what = format!("{} under {}", bench.name(), system.label());
+    assert!(interp.outcome.success(), "{what}: {:?}", interp.outcome.exit);
+    assert_eq!(interp, pre, "{what}: profiled runs diverged");
+    assert_eq!(interp_profile, pre_profile, "{what}: profiles diverged");
+    let retired: u64 = interp.outcome.stats.instructions.iter().sum();
+    let profiled: u64 = interp_profile.iter().map(|r| r.counts.total()).sum();
+    assert!(profiled > 0 && profiled <= retired, "{what}: {profiled} of {retired} profiled");
+}
+
+#[test]
+fn profiled_runs_are_identical() {
+    profiled(Benchmark::Crc, &System::SwapRam(swapram::SwapConfig::unified_fr2355()));
+    profiled(Benchmark::Bitcount, &System::BlockCache(blockcache::BlockConfig::unified_fr2355()));
+    profiled(Benchmark::Rsa, &System::Baseline);
 }
 
 /// Schedule boundaries: an event lands at every cycle in `0..=DENSE_CYCLES`.
